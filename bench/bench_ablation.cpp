@@ -14,7 +14,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "bench_util.hpp"
@@ -361,14 +360,8 @@ void ablate_link_policy_bursts() {
 
 int main(int argc, char** argv) {
   g_threads = par::resolve_threads();  // CARPOOL_THREADS or serial
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      g_threads = par::resolve_threads(std::strtoll(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--kernel") == 0) {
-      carpool::bench::apply_kernel_flag(argv[0],
-                                        i + 1 < argc ? argv[++i] : nullptr);
-    }
-  }
+  bench::parse_flags(argc, argv,
+                     {bench::threads_flag(g_threads), bench::kernel_flag()});
   ablate_rte_alpha();
   ablate_evm_gate();
   ablate_bloom_hashes();

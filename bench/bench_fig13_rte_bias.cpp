@@ -61,7 +61,8 @@ void run_modulation(Modulation mod, std::size_t bytes) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::parse_flags(argc, argv, {bench::kernel_flag()});
   bench::banner("Fig. 13", "BER bias: RTE vs standard channel estimation",
                 "RTE flattens the BER-vs-symbol-index curve; overall BER "
                 "reduced 65%% (QAM64) and 27%% (QAM16)");

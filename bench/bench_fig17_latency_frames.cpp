@@ -49,7 +49,8 @@ SimResult run_case(Scheme scheme, double deadline, std::size_t frame_bytes,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::parse_flags(argc, argv, {bench::kernel_flag()});
   std::printf("Fig. 17(a) — goodput vs latency requirement (120 B VoIP "
               "frames, 30 STAs + busy uplink)\n");
   std::printf("%12s %10s %10s %8s\n", "bound (ms)", "Carpool", "A-MPDU",

@@ -13,7 +13,6 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
-#include <cstring>
 
 #include "bench_util.hpp"
 
@@ -329,20 +328,18 @@ int kernel_throughput_report() {
 }  // namespace carpool
 
 int main(int argc, char** argv) {
-  // Peel off the carpool flags before google-benchmark sees the argv.
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--kernel") == 0) {
-      carpool::bench::apply_kernel_flag("bench_micro",
-                                        i + 1 < argc ? argv[++i] : nullptr);
-    } else if (std::strcmp(argv[i], "--kernel-info") == 0) {
-      std::printf("%s\n", carpool::dsp::kernel_info().c_str());
-      return 0;
-    } else {
-      argv[kept++] = argv[i];
-    }
+  // Peel off the carpool flags; --benchmark_* goes on to google-benchmark.
+  bool kernel_info = false;
+  argc = carpool::bench::parse_flags(
+      argc, argv,
+      {carpool::bench::kernel_flag(),
+       {"--kernel-info", nullptr,
+        [&kernel_info](const char*) { return kernel_info = true; }}},
+      "--benchmark_");
+  if (kernel_info) {
+    std::printf("%s\n", carpool::dsp::kernel_info().c_str());
+    return 0;
   }
-  argc = kept;
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -16,7 +16,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -44,15 +43,8 @@ sim::MobilityPath make_walker(const sim::Topology& topo) {
 }
 
 int run(int argc, char** argv) {
-  int threads = static_cast<int>(par::resolve_threads());
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<int>(
-          par::resolve_threads(std::strtoll(argv[++i], nullptr, 10)));
-    } else if (std::strcmp(argv[i], "--kernel") == 0) {
-      apply_kernel_flag(argv[0], i + 1 < argc ? argv[++i] : nullptr);
-    }
-  }
+  std::size_t threads = par::resolve_threads();  // CARPOOL_THREADS or 1
+  parse_flags(argc, argv, {threads_flag(threads), kernel_flag()});
   banner("Multi-BSS", "aggregate goodput vs AP count",
          "not in the paper — city-scale extrapolation; MPR scaling shape "
          "per arXiv:1006.4408 (throughput grows with parallel receivers)");
@@ -72,7 +64,7 @@ int run(int argc, char** argv) {
     cfg.num_stas = aps * kStasPerAp;
     cfg.duration = kDuration;
     cfg.seed = 2015;
-    cfg.threads = threads;
+    cfg.threads = static_cast<int>(threads);
     {
       // Walker path needs the AP grid geometry; build a throwaway
       // topology with the same spec/seed the campaign will use.

@@ -13,7 +13,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
 
@@ -76,13 +75,7 @@ impair::ImpairmentChain make_chain(const Intensity& level,
 
 int run(int argc, char** argv) {
   g_threads = par::resolve_threads();  // CARPOOL_THREADS or serial
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      g_threads = par::resolve_threads(std::strtoll(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--kernel") == 0) {
-      apply_kernel_flag(argv[0], i + 1 < argc ? argv[++i] : nullptr);
-    }
-  }
+  parse_flags(argc, argv, {threads_flag(g_threads), kernel_flag()});
   banner("Robustness", "goodput vs impairment intensity",
          "not in the paper — graceful-degradation acceptance sweep for the "
          "fault-injection harness (docs/ROBUSTNESS.md)");

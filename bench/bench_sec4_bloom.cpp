@@ -11,7 +11,8 @@
 
 using namespace carpool;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::parse_flags(argc, argv, {bench::kernel_flag()});
   bench::banner("Sec. 4.1", "A-HDR Bloom filter false-positive analysis",
                 "r_FP = (1-e^{-hN/48})^h, 0.31%-5.59%% for N=4..8; "
                 "A-HDR is 12.5%% of an 8-address list");

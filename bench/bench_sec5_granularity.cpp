@@ -13,7 +13,8 @@
 
 using namespace carpool;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::parse_flags(argc, argv, {bench::kernel_flag()});
   bench::banner("Sec. 5.2", "symbol-CRC granularity x modulation trade-off",
                 "two-bit / 1-symbol (CRC-2 per symbol) wins in most cases");
 

@@ -37,7 +37,8 @@ SimResult run_scheme(Scheme scheme, std::size_t stas) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::parse_flags(argc, argv, {bench::kernel_flag()});
   std::printf("Sec. 8 — per-STA energy, Carpool vs 802.11 (VoIP, 24 STAs)\n");
   constexpr std::size_t kStas = 24;
   const SimResult carpool = run_scheme(Scheme::kCarpool, kStas);

@@ -13,7 +13,8 @@
 
 using namespace carpool;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::parse_flags(argc, argv, {bench::kernel_flag()});
   std::printf("Sec. 8 — MU-MIMO Carpool (2-antenna AP, 4 users, ZF)\n\n");
 
   std::printf("Per-user BER across SNR (QAM16, ideal CSI):\n");

@@ -6,9 +6,11 @@
 // a glance (absolute values differ: our substrate is a simulator, not the
 // authors' USRP testbed).
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -20,6 +22,7 @@
 #include "dsp/kernels.hpp"
 #include "obs/registry.hpp"
 #include "obs/stats_writer.hpp"
+#include "par/par.hpp"
 #include "phy/frame.hpp"
 #include "sim/testbed.hpp"
 
@@ -77,26 +80,103 @@ inline void gauge(const std::string& name, double value) {
   obs::Registry::current().set_gauge(name, value);
 }
 
-/// Strict --kernel flag handling shared by the bench CLIs (the
-/// resolve_threads flag-hardening rule): an unknown backend name or a
-/// tier this CPU cannot run is a usage error (exit 2), never a silent
-/// fallback. On success the selection applies process-wide.
-inline void apply_kernel_flag(const char* prog, const char* text) {
-  switch (dsp::select_kernel(text == nullptr ? "" : text)) {
-    case dsp::KernelSelect::kOk:
-      return;
-    case dsp::KernelSelect::kUnavailable:
-      std::fprintf(stderr, "%s: --kernel %s is not supported on this CPU (%s)\n",
-                   prog, text, dsp::kernel_info().c_str());
-      std::exit(2);
-    case dsp::KernelSelect::kUnknown:
-      break;
+/// One command-line argument a bench binary honours. `name` is the flag
+/// ("--threads"), or a usage placeholder without a leading '-' ("OUT")
+/// for one optional positional argument. `value` names the flag's
+/// argument in the usage line; nullptr marks a bare switch. `apply` gets
+/// the argument (nullptr for a switch) and returns false when it is
+/// malformed.
+struct Flag {
+  const char* name;
+  const char* value;
+  std::function<bool(const char*)> apply;
+};
+
+/// --threads N: a non-negative integer (0 = auto) resolved through
+/// par::resolve_threads into `threads`. The flag's absence leaves
+/// `threads` alone (callers seed it with par::resolve_threads(), i.e.
+/// CARPOOL_THREADS or serial).
+inline Flag threads_flag(std::size_t& threads) {
+  return {"--threads", "N", [&threads](const char* text) {
+            char* end = nullptr;
+            errno = 0;
+            const long long n = std::strtoll(text, &end, 10);
+            if (*text == '\0' || *end != '\0' || errno != 0 || n < 0) {
+              return false;
+            }
+            threads = par::resolve_threads(n);
+            return true;
+          }};
+}
+
+/// --kernel NAME: select the PHY kernel backend process-wide
+/// (docs/KERNELS.md). An unknown name or a tier this CPU cannot run is
+/// a usage error, never a silent fallback.
+inline Flag kernel_flag() {
+  return {"--kernel", "auto|scalar|simd|sse2|avx2|avx512",
+          [](const char* text) {
+            const dsp::KernelSelect got = dsp::select_kernel(text);
+            if (got == dsp::KernelSelect::kUnavailable) {
+              std::fprintf(stderr,
+                           "--kernel %s is not supported on this CPU (%s)\n",
+                           text, dsp::kernel_info().c_str());
+            }
+            return got == dsp::KernelSelect::kOk;
+          }};
+}
+
+/// Strict argv parsing shared by every bench CLI: an unknown flag, a
+/// missing value or a malformed one prints usage and exits 2. Arguments
+/// starting with `passthrough` (bench_micro's "--benchmark_") are left
+/// for a downstream parser: they are compacted to the front of argv
+/// after argv[0] and the new argc is returned.
+inline int parse_flags(int argc, char** argv, const std::vector<Flag>& flags,
+                       const char* passthrough = nullptr) {
+  const std::string prog = std::filesystem::path(argv[0]).filename();
+  const auto fail = [&](const std::string& why) {
+    std::fprintf(stderr, "%s: %s\nusage: %s", prog.c_str(), why.c_str(),
+                 prog.c_str());
+    for (const Flag& f : flags) {
+      std::fprintf(stderr, f.value != nullptr ? " [%s %s]" : " [%s]",
+                   f.name, f.value);
+    }
+    if (passthrough != nullptr) {
+      std::fprintf(stderr, " [%s*...]", passthrough);
+    }
+    std::fprintf(stderr, "\n");
+    std::exit(2);
+  };
+  bool positional_used = false;
+  int kept = 1;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (passthrough != nullptr && arg.starts_with(passthrough)) {
+      argv[kept++] = argv[i];
+      continue;
+    }
+    const Flag* flag = nullptr;
+    for (const Flag& f : flags) {
+      const bool positional = f.name[0] != '-';
+      if (positional ? !arg.starts_with("-") && !positional_used
+                     : arg == f.name) {
+        positional_used = positional_used || positional;
+        flag = &f;
+        break;
+      }
+    }
+    if (flag == nullptr) fail("unexpected argument \"" + arg + "\"");
+    const char* value = nullptr;
+    if (flag->name[0] != '-') {
+      value = argv[i];
+    } else if (flag->value != nullptr) {
+      if (i + 1 >= argc) fail(arg + " needs a value");
+      value = argv[++i];
+    }
+    if (!flag->apply(value)) {
+      fail("bad value \"" + std::string(value) + "\" for " + flag->name);
+    }
   }
-  std::fprintf(stderr,
-               "%s: --kernel wants auto|scalar|simd|sse2|avx2|avx512, got "
-               "\"%s\"\n",
-               prog, text == nullptr ? "" : text);
-  std::exit(2);
+  return kept;
 }
 
 inline void banner(const char* figure, const char* what,

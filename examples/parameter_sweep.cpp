@@ -19,13 +19,11 @@
 // tuning can be eyeballed from one CSV.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "dsp/kernels.hpp"
+#include "bench_util.hpp"
 #include "mac/simulator.hpp"
 #include "par/par.hpp"
 #include "traffic/generators.hpp"
@@ -201,36 +199,16 @@ int main(int argc, char** argv) {
   bool link_policy = false;
   const char* path = nullptr;
   g_threads = carpool::par::resolve_threads();  // CARPOOL_THREADS or 1
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--link-policy") == 0) {
-      link_policy = true;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      g_threads =
-          carpool::par::resolve_threads(std::strtoll(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--kernel") == 0) {
-      // Strict like --threads env hardening: a bad name is a usage
-      // error, not a silent fallback (docs/KERNELS.md).
-      const char* val = i + 1 < argc ? argv[++i] : "";
-      switch (carpool::dsp::select_kernel(val)) {
-        case carpool::dsp::KernelSelect::kOk:
-          break;
-        case carpool::dsp::KernelSelect::kUnavailable:
-          std::fprintf(stderr,
-                       "parameter_sweep: --kernel %s is not supported on "
-                       "this CPU (%s)\n",
-                       val, carpool::dsp::kernel_info().c_str());
-          return 2;
-        case carpool::dsp::KernelSelect::kUnknown:
-          std::fprintf(stderr,
-                       "parameter_sweep: --kernel wants "
-                       "auto|scalar|simd|sse2|avx2|avx512, got \"%s\"\n",
-                       val);
-          return 2;
-      }
-    } else {
-      path = argv[i];
-    }
-  }
+  carpool::bench::parse_flags(
+      argc, argv,
+      {{"--link-policy", nullptr,
+        [&link_policy](const char*) { return link_policy = true; }},
+       carpool::bench::threads_flag(g_threads),
+       carpool::bench::kernel_flag(),
+       {"OUT", nullptr, [&path](const char* text) {
+          path = text;
+          return true;
+        }}});
 
   std::FILE* out = stdout;
   if (path != nullptr) {

@@ -634,8 +634,8 @@ FuzzReport FuzzEngine::run(const std::vector<Scenario>& seeds) const {
   // resumed campaign's corpus already contains the admitted seeds (and
   // their evolution) — re-seeding would double-count evals.
   if (!report.resumed) {
-    auto shards = par::run_sharded_keep(
-        seeds.size(), threads, [&](const par::ShardInfo& info) {
+    auto shards = par::run_sharded_resilient(
+        seeds.size(), threads, {}, nullptr, [&](const par::ShardInfo& info) {
           return evaluate(seeds[info.index], opts_);
         });
     for (std::size_t i = 0; i < seeds.size() && !stop; ++i) {
@@ -659,8 +659,8 @@ FuzzReport FuzzEngine::run(const std::vector<Scenario>& seeds) const {
           tournament_select(report.corpus, round_rng);
       batch.push_back(mutator.mutate(parent.scenario, round_rng));
     }
-    auto shards = par::run_sharded_keep(
-        batch.size(), threads, [&](const par::ShardInfo& info) {
+    auto shards = par::run_sharded_resilient(
+        batch.size(), threads, {}, nullptr, [&](const par::ShardInfo& info) {
           return evaluate(batch[info.index].scenario, opts_);
         });
     for (std::size_t i = 0; i < batch.size() && !stop; ++i) {

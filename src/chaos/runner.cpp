@@ -308,8 +308,8 @@ std::vector<std::vector<ProbeHarness::Probe>> plan_probes(
 
 // ----------------------------------------------------- repeat execution
 //
-// One full timeline pass, extracted so the serial loop and the parallel
-// wave scheduler (docs/PARALLELISM.md) run the *same* code. A `live`
+// One full timeline pass, the unit the wave scheduler in SoakRunner::run
+// (docs/PARALLELISM.md) shards. A `live`
 // pass runs with the real campaign coordinates — frame budget and fault
 // injection armed, violations stamped with campaign-wide frame counts. A
 // detached pass (live == false) runs the identical simulation from frame
@@ -329,6 +329,33 @@ struct RepeatOutcome {
   MarginTracker margins;  ///< per-invariant minima over the repeat
   bool stopped = false;  ///< a stop event fired (violation/inject/budget)
 };
+
+/// SNR of `sta` (global id) at absolute time `t` over a base SNR from
+/// the caller's pathloss model. Where the recorded channel has samples
+/// for this STA the measured SNR replaces the base (step-hold between
+/// samples); the penalty of every interference episode in force is then
+/// subtracted and the repeat's correlated shadowing (nullable) added.
+double layered_snr_db(const Scenario& s,
+                      const channel::CorrelatedShadowing* shadow,
+                      mac::NodeId sta, double t, double base) {
+  double snr = base;
+  if (!s.snr_trace.empty()) {
+    snr = s.snr_trace.snr_at(static_cast<std::uint32_t>(sta), t, snr);
+  }
+  for (const InterferenceEpisode& e : s.interference) {
+    if (t < e.start || t >= e.stop) continue;
+    if (!e.stas.empty() &&
+        std::find(e.stas.begin(), e.stas.end(),
+                  static_cast<std::uint32_t>(sta)) == e.stas.end()) {
+      continue;
+    }
+    snr -= e.snr_penalty_db;
+  }
+  if (shadow != nullptr && sta >= 1) {
+    snr += shadow->offset_db(static_cast<std::size_t>(sta) - 1, t);
+  }
+  return snr;
+}
 
 RepeatOutcome run_one_repeat(const Scenario& s,
                              const std::vector<Episode>& episodes,
@@ -444,9 +471,8 @@ RepeatOutcome run_one_repeat(const Scenario& s,
         cfg.num_stas = s.num_stas;
         cfg.seed = derive_seed(s.seed, repeat, ei);
 
-        // Time-varying SNR: mobility via the testbed pathloss map, plus
-        // the penalty of every interference episode in force at the
-        // absolute time of the judgement.
+        // Time-varying SNR: mobility via the testbed pathloss map as the
+        // base, channel effects layered on by layered_snr_db.
         const sim::TestbedLayout layout;
         std::vector<sim::MobilityPath> paths(s.num_stas + 1);
         std::vector<bool> has_path(s.num_stas + 1, false);
@@ -460,38 +486,16 @@ RepeatOutcome run_one_repeat(const Scenario& s,
                           has_path = std::move(has_path), ep_start,
                           shadow](mac::NodeId sta, double now) {
           const double t = ep_start + now;
-          double snr = s.default_snr_db;
-          if (sta < has_path.size() && has_path[sta]) {
-            snr = layout.snr_db_along(paths[sta], t, s.power_magnitude);
-          }
-          // Recorded channel: where the capture has samples for this STA
-          // the measured SNR replaces the synthetic base (step-hold
-          // between samples); interference penalties and shadowing still
-          // layer on.
-          if (!s.snr_trace.empty()) {
-            snr = s.snr_trace.snr_at(static_cast<std::uint32_t>(sta), t,
-                                     snr);
-          }
-          for (const InterferenceEpisode& e : s.interference) {
-            if (t < e.start || t >= e.stop) continue;
-            if (!e.stas.empty() &&
-                std::find(e.stas.begin(), e.stas.end(),
-                          static_cast<std::uint32_t>(sta)) ==
-                    e.stas.end()) {
-              continue;
-            }
-            snr -= e.snr_penalty_db;
-          }
-          if (shadow != nullptr && sta >= 1) {
-            snr += shadow->offset_db(static_cast<std::size_t>(sta) - 1, t);
-          }
-          return snr;
+          const double base =
+              sta < has_path.size() && has_path[sta]
+                  ? layout.snr_db_along(paths[sta], t, s.power_magnitude)
+                  : s.default_snr_db;
+          return layered_snr_db(s, shadow, sta, t, base);
         };
       } else {
         // Multi-BSS domain: local STA numbering (local l = members[l-1]),
         // SNR base from the topology SINR of this AP at the STA's
-        // position; recorded traces, interference penalties, and
-        // shadowing layer on top exactly as in the single-domain path.
+        // position.
         cfg.num_stas = members.size();
         cfg.seed = sim::MultiBssSim::domain_seed(
             derive_seed(s.seed, repeat, ei), d, ei);
@@ -499,27 +503,9 @@ RepeatOutcome run_one_repeat(const Scenario& s,
                           shadow](mac::NodeId local, double now) {
           const double t = ep_start + now;
           const mac::NodeId sta = members[local - 1];
-          const sim::MobilityPath& path = topo->paths[sta];
-          double snr =
-              topo->topo.sinr_db(d, topo->topo.position(sta, path, t));
-          if (!s.snr_trace.empty()) {
-            snr = s.snr_trace.snr_at(static_cast<std::uint32_t>(sta), t,
-                                     snr);
-          }
-          for (const InterferenceEpisode& e : s.interference) {
-            if (t < e.start || t >= e.stop) continue;
-            if (!e.stas.empty() &&
-                std::find(e.stas.begin(), e.stas.end(),
-                          static_cast<std::uint32_t>(sta)) ==
-                    e.stas.end()) {
-              continue;
-            }
-            snr -= e.snr_penalty_db;
-          }
-          if (shadow != nullptr && sta >= 1) {
-            snr += shadow->offset_db(static_cast<std::size_t>(sta) - 1, t);
-          }
-          return snr;
+          const double base = topo->topo.sinr_db(
+              d, topo->topo.position(sta, topo->paths[sta], t));
+          return layered_snr_db(s, shadow, sta, t, base);
         };
       }
 
@@ -814,8 +800,9 @@ SoakReport SoakRunner::run(const Scenario& scenario) const {
       s, topo != nullptr ? topo->timeline.handover_times()
                          : std::vector<double>{});
   const std::vector<Episode>& episodes = ctx->episodes;
+  // A single-pass run (max_frames == 0) is exactly one repeat.
   const std::size_t max_repeats =
-      std::max<std::size_t>(1, opts_.max_repeats);
+      opts_.max_frames == 0 ? 1 : std::max<std::size_t>(1, opts_.max_repeats);
   const std::size_t threads =
       opts_.threads == 0 ? par::hardware_threads() : opts_.threads;
 
@@ -839,142 +826,107 @@ SoakReport SoakRunner::run(const Scenario& scenario) const {
       obs::Registry::current().counter("chaos.checkpoint_write").add();
     }
   };
-
-  // A resumed campaign that already met its budget (or was single-pass)
-  // has no repeats left — skip straight to finalization.
-  const bool already_complete =
-      report.resumed && (opts_.max_frames == 0 ||
-                         report.frames_judged >= opts_.max_frames);
-
-  // Retry/fault-injection campaigns route through the wave scheduler
-  // even at threads<=1, so injected faults and retries behave
-  // identically at any thread count. Single-pass runs (max_frames == 0)
-  // have exactly one repeat and keep the classic serial path —
-  // re-running the whole campaign is the retry story there.
   const bool resilient =
       opts_.retry.enabled() || opts_.fault_plan.has_value();
+  // Budget met: the frame budget, or for a single-pass run its one
+  // repeat (report.repeats starts at start_repeat).
+  const auto campaign_done = [&] {
+    return opts_.max_frames == 0 ? report.repeats > start_repeat
+                                 : report.frames_judged >= opts_.max_frames;
+  };
 
-  if (already_complete) {
-    // Nothing to run.
-  } else if ((threads <= 1 && !resilient) || opts_.max_frames == 0) {
-    // Serial campaign: every repeat live, in order. A single-pass run
-    // (max_frames == 0) has exactly one repeat, so there is nothing to
-    // parallelise regardless of the thread knob.
-    for (std::size_t repeat = start_repeat; repeat < max_repeats;
-         ++repeat) {
-      report.repeats = repeat + 1;
-      RepeatOutcome o = run_one_repeat(s, episodes, topo, repeat,
-                                       report.frames_judged, opts_,
-                                       /*live=*/true);
-      const bool stopped = o.stopped;
-      consume_repeat(report, std::move(o));
-      if (stopped) break;
-      if (opts_.max_frames == 0) break;
-      if (report.frames_judged >= opts_.max_frames) break;
-      if ((repeat + 1) % checkpoint_every == 0) {
-        flush_checkpoint(repeat + 1);
-      }
+  // The one campaign scheduler, at every thread count: waves of up to
+  // `threads` repeats fan across the executor, each repeat under its own
+  // metric shard (and retry/fault plan, docs/FAULT_TOLERANCE.md). A
+  // wave's first repeat runs live — its frame base is the campaign's
+  // judgement count so far — so a wave of one is exactly a serial
+  // campaign and at threads 1 no repeat ever runs twice. Later repeats
+  // run detached from frame base 0. Walking the wave in repeat order,
+  // clean repeats are consumed as-is (a detached pass with no stop event
+  // is bit-identical to the live pass, so shard metrics merge into the
+  // ambient registry and the outcome joins the report). The first
+  // detached repeat a serial campaign would have stopped in is re-run
+  // live on this thread with the real frame base — that re-run, not the
+  // detached shard, supplies the authoritative violations, coordinates,
+  // and metrics; the shard and everything after it in the wave are
+  // discarded. Net: the SoakReport and the ambient registry are
+  // bit-for-bit what a serial loop produces.
+  std::size_t next_repeat = start_repeat;
+  std::size_t last_flush = start_repeat;
+  bool stop = false;
+  while (!stop && next_repeat < max_repeats && !campaign_done()) {
+    const std::size_t wave = std::min(threads, max_repeats - next_repeat);
+    // Captures by value only: `base` and `live_base` because this thread
+    // mutates the campaign state while detached attempts may still be
+    // running, and `ctx` so an abandoned attempt keeps the campaign state
+    // alive (run_sharded_resilient copies the callable into shared state
+    // that outlives this frame).
+    const std::size_t base = next_repeat;
+    const std::uint64_t live_base = report.frames_judged;
+    const auto repeat_job = [ctx, base,
+                             live_base](const par::ShardInfo& info) {
+      const TopoCtx* job_topo =
+          ctx->topo.has_value() ? &*ctx->topo : nullptr;
+      const bool live = info.index == 0;
+      return run_one_repeat(ctx->s, ctx->episodes, job_topo,
+                            base + info.index, live ? live_base : 0,
+                            ctx->opts, live);
+    };
+    // Fault-plan entries address campaign repeat numbers; re-base them
+    // onto this wave's shard indices.
+    std::optional<par::FaultPlan> windowed;
+    if (opts_.fault_plan.has_value()) {
+      windowed = opts_.fault_plan->window(base, wave);
     }
-  } else {
-    // Parallel campaign: waves of detached repeats fan across the pool,
-    // each under its own metric shard. Walking the wave in repeat order,
-    // clean repeats are consumed as-is (a detached pass with no stop
-    // event is bit-identical to the live pass, so shard metrics merge
-    // into the ambient registry and the outcome joins the report). The
-    // first repeat the serial campaign would have stopped in is re-run
-    // live on this thread with the real frame base — that re-run, not
-    // the detached shard, supplies the authoritative violations,
-    // coordinates, and metrics; the shard and everything after it in
-    // the wave are discarded. Net: the SoakReport and the ambient
-    // registry are bit-for-bit what the serial loop produces.
-    std::size_t next_repeat = start_repeat;
-    std::size_t last_flush = start_repeat;
-    bool stop = false;
-    while (!stop && next_repeat < max_repeats &&
-           report.frames_judged < opts_.max_frames) {
-      const std::size_t wave =
-          std::min(std::max<std::size_t>(1, threads),
-                   max_repeats - next_repeat);
-      // Captures by value only: `base` because this thread mutates
-      // next_repeat while detached attempts may still be running, and
-      // `ctx` so an abandoned attempt keeps the campaign state alive
-      // (run_sharded_resilient copies the callable into shared state
-      // that outlives this frame).
-      const std::size_t base = next_repeat;
-      const auto repeat_job = [ctx, base](const par::ShardInfo& info) {
-        const TopoCtx* job_topo =
-            ctx->topo.has_value() ? &*ctx->topo : nullptr;
-        return run_one_repeat(ctx->s, ctx->episodes, job_topo,
-                              base + info.index,
-                              /*campaign_base=*/0, ctx->opts,
-                              /*live=*/false);
-      };
-      par::Sharded<RepeatOutcome> shards;
-      par::DegradedReport wave_degraded;
-      if (resilient) {
-        // Fault-plan entries address campaign repeat numbers; re-base
-        // them onto this wave's shard indices.
-        par::FaultPlan windowed;
-        const par::FaultPlan* plan = nullptr;
-        if (opts_.fault_plan.has_value()) {
-          windowed = opts_.fault_plan->window(next_repeat, wave);
-          plan = &windowed;
-        }
-        shards = par::run_sharded_resilient(wave, threads, opts_.retry,
-                                            plan, repeat_job,
-                                            &wave_degraded);
+    // Without a retry policy or fault plan a throwing repeat kills the
+    // campaign (no degraded sink: the executor rethrows it unchanged).
+    par::DegradedReport wave_degraded;
+    par::Sharded<RepeatOutcome> shards = par::run_sharded_resilient(
+        wave, threads, opts_.retry, windowed ? &*windowed : nullptr,
+        repeat_job, resilient ? &wave_degraded : nullptr);
+    // Quarantined repeats: remap wave-local indices back to campaign
+    // repeat numbers and keep going — the campaign degrades, it does not
+    // abort. Their default-constructed outcomes are skipped below.
+    std::vector<char> lost(wave, 0);
+    for (const par::QuarantinedShard& q : wave_degraded.quarantined) {
+      lost[q.index] = 1;
+      report.degraded.quarantined.push_back(
+          {base + q.index, q.attempts, q.error});
+    }
+    report.degraded.retries += wave_degraded.retries;
+    report.degraded.stalls += wave_degraded.stalls;
+    for (std::size_t i = 0; i < wave; ++i) {
+      const std::size_t repeat = base + i;
+      report.repeats = repeat + 1;
+      if (lost[i] != 0) continue;
+      RepeatOutcome& o = shards.results[i];
+      if (i > 0 &&
+          repeat_is_stopping(o, s, opts_, report.frames_judged)) {
+        o = run_one_repeat(s, episodes, topo, repeat, report.frames_judged,
+                           opts_, /*live=*/true);
       } else {
-        shards = par::run_sharded_keep(wave, threads, repeat_job);
-      }
-      // Quarantined repeats: remap wave-local indices back to campaign
-      // repeat numbers and keep going — the campaign degrades, it does
-      // not abort. Their default-constructed outcomes are skipped below.
-      std::vector<char> lost(wave, 0);
-      for (const par::QuarantinedShard& q : wave_degraded.quarantined) {
-        lost[q.index] = 1;
-        report.degraded.quarantined.push_back(
-            {next_repeat + q.index, q.attempts, q.error});
-      }
-      report.degraded.retries += wave_degraded.retries;
-      report.degraded.stalls += wave_degraded.stalls;
-      for (std::size_t i = 0; i < wave; ++i) {
-        const std::size_t repeat = next_repeat + i;
-        report.repeats = repeat + 1;
-        if (lost[i] != 0) continue;
-        if (repeat_is_stopping(shards.results[i], s, opts_,
-                               report.frames_judged)) {
-          RepeatOutcome real =
-              run_one_repeat(s, episodes, topo, repeat,
-                             report.frames_judged, opts_, /*live=*/true);
-          const bool stopped = real.stopped;
-          consume_repeat(report, std::move(real));
-          if (stopped || report.frames_judged >= opts_.max_frames) {
-            stop = true;
-            break;
-          }
-          continue;
-        }
-        if (shards.metrics[i] != nullptr) {
-          obs::Registry::current().merge_from(*shards.metrics[i]);
-        }
+        obs::Registry::current().merge_from(*shards.metrics[i]);
         // Span buffers follow the same consume-or-discard rule as shard
-        // metrics: clean repeats merge index-ordered; a stopping repeat's
-        // detached shard was discarded above because the live re-run
+        // metrics: consumed repeats merge index-ordered; a re-run
+        // repeat's detached shard is discarded because the live re-run
         // already wrote the authoritative spans into the ambient
         // collector.
-        if (i < shards.spans.size() && shards.spans[i] != nullptr) {
-          if (obs::SpanCollector* sc = obs::SpanCollector::current();
-              sc != nullptr) {
-            sc->merge_from(*shards.spans[i]);
-          }
+        if (obs::SpanCollector* sc = obs::SpanCollector::current();
+            sc != nullptr) {
+          sc->merge_from(*shards.spans[i]);
         }
-        consume_repeat(report, std::move(shards.results[i]));
       }
-      next_repeat += wave;
-      if (!stop && next_repeat - last_flush >= checkpoint_every) {
-        flush_checkpoint(next_repeat);
-        last_flush = next_repeat;
+      const bool stopped = o.stopped;
+      consume_repeat(report, std::move(o));
+      if (stopped || campaign_done()) {
+        stop = true;
+        break;
       }
+    }
+    next_repeat += wave;
+    if (!stop && next_repeat - last_flush >= checkpoint_every) {
+      flush_checkpoint(next_repeat);
+      last_flush = next_repeat;
     }
   }
 

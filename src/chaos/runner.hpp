@@ -58,15 +58,16 @@ struct SoakOptions {
   /// SoakReport::bundle_path.
   std::string bundle_dir;
 
-  /// Worker threads for timeline repeats (docs/PARALLELISM.md). 1 runs
-  /// the classic serial loop; 0 means "auto" (hardware_concurrency); N>1
-  /// fans detached repeats across a carpool::par pool and merges them in
-  /// repeat order, with the stopping repeat re-run serially so the
-  /// SoakReport — violations, coordinates, frame counts, obs metrics —
-  /// is bit-for-bit identical to threads=1 at any worker count. Only
-  /// frame-budget campaigns (max_frames > 0) have repeats to parallelise;
-  /// single-pass runs ignore this knob. Repro bundles and the shrinker
-  /// stay strictly serial-replayable either way.
+  /// Worker threads for timeline repeats (docs/PARALLELISM.md); 0 means
+  /// "auto" (hardware_concurrency). Repeats run in waves of this many:
+  /// each wave's first repeat runs live, the rest detached on a
+  /// carpool::par pool, merged in repeat order with the stopping repeat
+  /// re-run live, so the SoakReport — violations, coordinates, frame
+  /// counts, obs metrics — is bit-for-bit identical at any worker count.
+  /// At 1 every wave is one live repeat, a plain serial loop. Only
+  /// frame-budget campaigns (max_frames > 0) have more than one repeat.
+  /// Repro bundles and the shrinker stay strictly serial-replayable
+  /// either way.
   std::size_t threads = 1;
 
   // ----- fault tolerance (docs/FAULT_TOLERANCE.md) -----

@@ -116,6 +116,16 @@ void backoff_sleep(double ms) {
   std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
 }
 
+std::string describe(const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const std::exception& e) {
+    return e.what();
+  } catch (...) {
+    return "unknown exception";
+  }
+}
+
 bool run_attempt_with_watchdog(std::function<void()> body,
                                double timeout_seconds) {
   if (timeout_seconds <= 0.0) {

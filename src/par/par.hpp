@@ -8,15 +8,22 @@
 // jobs across a fixed-size thread pool and merges their outputs in
 // *stable job-index order*, so the aggregate — result vectors, obs
 // counters/gauges, float reductions — is bit-for-bit identical at any
-// thread count, including the serial threads=1 path.
+// thread count, including threads=1.
+//
+// There is one executor, run_sharded_resilient: a per-shard attempt loop
+// (retry, watchdog, fault injection; docs/FAULT_TOLERANCE.md) that runs
+// inline at threads<=1 and on a ThreadPool otherwise. Its default
+// RetryPolicy{} with no FaultPlan is one plain attempt per job.
+// run_sharded wraps it with the index-ordered merge for callers that
+// keep every job.
 //
 // The determinism contract rests on three rules:
 //   1. Jobs are pure functions of their index (same seeds, same inputs,
 //      no shared mutable state between jobs).
-//   2. Each parallel job runs under a shard-local obs::Registry
-//      (Registry::ScopedCurrent), so instrumentation from concurrent
-//      shards never interleaves; shards merge into the ambient registry
-//      in job-index order after the pool drains.
+//   2. Every job runs under a shard-local obs::Registry
+//      (Registry::ScopedCurrent) at any thread count, so instrumentation
+//      from concurrent shards never interleaves; shards merge into the
+//      ambient registry in job-index order after the pool drains.
 //   3. Float aggregates are reduced in job-index order (use KahanSum for
 //      new aggregations; the compensation makes long reductions stable
 //      without changing the order-determinism argument).
@@ -116,22 +123,11 @@ class ThreadPool {
 struct ShardInfo {
   std::size_t index = 0;  ///< job index, the determinism coordinate
   std::size_t total = 0;  ///< job count in this sharded run
-  /// Shard-local metric scope (already installed as Registry::current()
-  /// on the worker thread), or nullptr in the inline threads<=1 path
-  /// where jobs write straight into the ambient registry exactly as a
-  /// serial program would.
-  obs::Registry* metrics = nullptr;
-  /// Shard-local span buffer (already installed as
-  /// obs::SpanCollector::current() on the worker thread). Non-null only
-  /// when the caller had a collector installed when fanning out; inline
-  /// jobs write straight into the ambient collector.
-  obs::SpanCollector* spans = nullptr;
 };
 
 /// A sharded run's raw output: per-job results plus each shard's private
-/// metric registry, both indexed by job. `metrics` is empty when the run
-/// executed inline (threads<=1) — the ambient registry already holds
-/// everything, which IS the serial code path.
+/// metric registry, both indexed by job. A quarantined shard's registry
+/// slot is null.
 template <class R>
 struct Sharded {
   std::vector<R> results;
@@ -192,8 +188,7 @@ struct FaultPlan {
 };
 
 /// Retry + watchdog policy for run_sharded_resilient. Disabled by
-/// default (max_attempts == 1, no watchdog): the resilient runner then
-/// degenerates to run_sharded_keep semantics.
+/// default (max_attempts == 1, no watchdog): one plain attempt per job.
 struct RetryPolicy {
   std::size_t max_attempts = 1;  ///< total tries per shard (>= 1)
   double backoff_base_ms = 1.0;  ///< first retry delay before jitter
@@ -252,6 +247,9 @@ void backoff_sleep(double ms);
 [[nodiscard]] bool run_attempt_with_watchdog(std::function<void()> body,
                                              double timeout_seconds);
 
+/// what() of an exception_ptr's exception, or "unknown exception".
+[[nodiscard]] std::string describe(const std::exception_ptr& error);
+
 /// Thrown into a job by FaultKind::kThrow.
 class InjectedFault : public std::runtime_error {
  public:
@@ -261,91 +259,34 @@ class InjectedFault : public std::runtime_error {
 
 }  // namespace detail
 
-/// Run `jobs` independent jobs — `fn(const ShardInfo&) -> R` — across at
+/// The sharded executor (docs/PARALLELISM.md, docs/FAULT_TOLERANCE.md):
+/// run `jobs` independent jobs — `fn(const ShardInfo&) -> R` — across at
 /// most `threads` workers and return results + shard registries WITHOUT
 /// merging. Callers that consume only a prefix of the jobs (e.g. the soak
 /// runner discarding over-run repeats past a frame budget) merge the
 /// shard registries they actually keep, in index order.
 ///
-/// threads <= 1 (or a single job) runs every job inline on the calling
-/// thread, in index order, against the ambient registry: byte-for-byte
-/// the behaviour of the pre-parallel serial loops.
-///
-/// R must be default-constructible and movable. If any job throws, the
-/// lowest-index exception is rethrown after the pool drains (results and
-/// shard registries are discarded), matching a serial loop that died at
-/// the first failing job.
-template <class Fn>
-[[nodiscard]] auto run_sharded_keep(std::size_t jobs, std::size_t threads,
-                                    Fn&& fn)
-    -> Sharded<std::decay_t<std::invoke_result_t<Fn&, const ShardInfo&>>> {
-  using R = std::decay_t<std::invoke_result_t<Fn&, const ShardInfo&>>;
-  Sharded<R> out;
-  out.results.resize(jobs);
-  if (jobs == 0) return out;
-
-  const std::size_t workers = std::min(threads == 0 ? 1 : threads, jobs);
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < jobs; ++i) {
-      const ShardInfo info{i, jobs, nullptr};
-      out.results[i] = fn(info);
-    }
-    return out;
-  }
-
-  out.metrics.resize(jobs);
-  // Shard span buffers only when the caller is actually collecting spans
-  // (a collector is installed on the fanning thread); workers must not
-  // write into the caller's single-threaded collector.
-  const bool collect_spans = obs::SpanCollector::current() != nullptr;
-  if (collect_spans) out.spans.resize(jobs);
-  std::vector<std::exception_ptr> errors(jobs);
-  {
-    ThreadPool pool(workers);
-    for (std::size_t i = 0; i < jobs; ++i) {
-      out.metrics[i] = std::make_unique<obs::Registry>();
-      if (collect_spans) {
-        out.spans[i] = std::make_unique<obs::SpanCollector>();
-      }
-      pool.submit([&, i] {
-        const obs::Registry::ScopedCurrent scope(*out.metrics[i]);
-        std::optional<obs::SpanCollector::ScopedCurrent> span_scope;
-        if (out.spans.size() == jobs) span_scope.emplace(*out.spans[i]);
-        try {
-          const ShardInfo info{i, jobs, out.metrics[i].get(),
-                               out.spans.size() == jobs ? out.spans[i].get()
-                                                        : nullptr};
-          out.results[i] = fn(info);
-        } catch (...) {
-          errors[i] = std::current_exception();
-        }
-      });
-    }
-    pool.wait();
-  }
-  for (const std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
-  return out;
-}
-
-/// Fault-tolerant variant of run_sharded_keep (docs/FAULT_TOLERANCE.md):
-/// each shard gets up to `policy.max_attempts` tries, each attempt under
+/// Each shard gets up to `policy.max_attempts` tries, each attempt under
 /// an optional wall-clock watchdog, with deterministic seeded backoff
 /// between tries. Every attempt runs against *attempt-local* metric and
 /// span state that is committed into the returned Sharded<R> only on
 /// success, so a failed or abandoned attempt leaves zero trace in the
 /// merged output — a successful retry is bit-identical to a first-try
-/// success. Shards that exhaust the budget are quarantined: their result
-/// slots keep default-constructed values, their registry slots stay
-/// null, and they are listed in `*degraded` (which is always assigned
-/// when non-null). When `degraded == nullptr`, a quarantined shard
-/// instead rethrows (lowest index first), matching run_sharded_keep.
+/// success. threads <= 1 runs the same attempt loop inline on the
+/// calling thread, in index order, so faults and retries behave
+/// identically at any thread count. The default RetryPolicy{} with no
+/// FaultPlan is one plain attempt per job.
+///
+/// Shards that exhaust the budget are quarantined: their result slots
+/// keep default-constructed values, their registry slots stay null, and
+/// they are listed in `*degraded` (which is always assigned when
+/// non-null). When `degraded == nullptr`, the lowest-index quarantined
+/// shard's final exception is rethrown unchanged instead — a serial loop
+/// dying at its first failing job. R must be default-constructible and
+/// movable.
 ///
 /// `faults`, when non-null, injects the planned failures — the test
-/// harness for this machinery. Unlike run_sharded_keep, the threads<=1
-/// path also uses attempt-local registries (committed in index order),
-/// so fault injection and retry behave identically at any thread count.
+/// harness for this machinery.
 ///
 /// Ops counters (par.shard_retry / par.shard_stall /
 /// par.shard_quarantine) are recorded on the *calling* thread's ambient
@@ -366,6 +307,9 @@ template <class Fn>
   if (jobs == 0) return out;
 
   out.metrics.resize(jobs);
+  // Shard span buffers only when the caller is actually collecting spans
+  // (a collector is installed on the fanning thread); workers must not
+  // write into the caller's single-threaded collector.
   const bool collect_spans = obs::SpanCollector::current() != nullptr;
   if (collect_spans) out.spans.resize(jobs);
 
@@ -382,8 +326,7 @@ template <class Fn>
   struct ShardState {
     std::size_t attempts = 0;
     std::size_t stalls = 0;
-    bool ok = false;
-    std::string error;
+    std::exception_ptr error;  ///< final failure; null once a try succeeds
   };
   std::vector<ShardState> states(jobs);
 
@@ -393,9 +336,9 @@ template <class Fn>
   // Runs one shard's full attempt loop. Job exceptions are captured per
   // attempt inside `body`; this outer try/catch additionally contains
   // failures of the retry machinery itself (allocation of attempt
-  // state, error-string construction) by quarantining the shard — a
-  // bad_alloc here must not escape into ThreadPool::wait() and abort
-  // the very campaign this machinery exists to keep alive.
+  // state) by quarantining the shard — a bad_alloc here must not escape
+  // into ThreadPool::wait() and abort the very campaign this machinery
+  // exists to keep alive.
   auto run_shard = [&out, &states, &policy, faults, shared_fn, jobs,
                     max_attempts, stall_seconds,
                     collect_spans](std::size_t i) {
@@ -428,9 +371,7 @@ template <class Fn>
           std::optional<obs::SpanCollector::ScopedCurrent> span_scope;
           if (att->spans != nullptr) span_scope.emplace(*att->spans);
           try {
-            const ShardInfo info{i, jobs, att->metrics.get(),
-                                 att->spans.get()};
-            R r = (*shared_fn)(info);
+            R r = (*shared_fn)(ShardInfo{i, jobs});
             switch (fault) {
               case FaultKind::kThrow:
                 throw detail::InjectedFault("injected fault (shard " +
@@ -451,32 +392,21 @@ template <class Fn>
           }
         };
 
-        bool finished = true;
-        if (policy.watchdog_seconds > 0.0) {
-          finished = detail::run_attempt_with_watchdog(
-              body, policy.watchdog_seconds);
-        } else {
-          body();
-        }
-
-        if (!finished) {
+        if (!detail::run_attempt_with_watchdog(body,
+                                               policy.watchdog_seconds)) {
           ++st.stalls;
-          st.error = "stall: watchdog expired after " +
-                     std::to_string(policy.watchdog_seconds) + "s";
+          st.error = std::make_exception_ptr(std::runtime_error(
+              "stall: watchdog expired after " +
+              std::to_string(policy.watchdog_seconds) + "s"));
           continue;
         }
         if (att->error != nullptr) {
-          try {
-            std::rethrow_exception(att->error);
-          } catch (const std::exception& e) {
-            st.error = e.what();
-          } catch (...) {
-            st.error = "unknown exception";
-          }
+          st.error = att->error;
           continue;
         }
         if (fault == FaultKind::kTorn) {
-          st.error = "torn result (injected)";
+          st.error = std::make_exception_ptr(
+              std::runtime_error("torn result (injected)"));
           continue;
         }
 
@@ -485,18 +415,11 @@ template <class Fn>
         out.results[i] = std::move(att->result);
         out.metrics[i] = std::move(att->metrics);
         if (collect_spans) out.spans[i] = std::move(att->spans);
-        st.ok = true;
+        st.error = nullptr;
         return;
       }
-    } catch (const std::exception& e) {
-      st.ok = false;
-      try {
-        st.error = e.what();
-      } catch (...) {
-        st.error.clear();
-      }
     } catch (...) {
-      st.ok = false;
+      st.error = std::current_exception();
     }
   };
 
@@ -512,11 +435,15 @@ template <class Fn>
   }
 
   DegradedReport report;
+  std::exception_ptr first_error;
   for (std::size_t i = 0; i < jobs; ++i) {
     const ShardState& st = states[i];
     if (st.attempts > 1) report.retries += st.attempts - 1;
     report.stalls += st.stalls;
-    if (!st.ok) report.quarantined.push_back({i, st.attempts, st.error});
+    if (st.error == nullptr) continue;
+    if (first_error == nullptr) first_error = st.error;
+    report.quarantined.push_back(
+        {i, st.attempts, detail::describe(st.error)});
   }
 
   // Ops bookkeeping on the calling thread; the "ops" layer is excluded
@@ -533,36 +460,36 @@ template <class Fn>
     ambient.counter("par.shard_quarantine").add(report.quarantined.size());
   }
 
-  if (report.degraded() && degraded == nullptr) {
-    const QuarantinedShard& first = report.quarantined.front();
-    throw std::runtime_error("shard " + std::to_string(first.index) +
-                             " failed after " +
-                             std::to_string(first.attempts) +
-                             " attempts: " + first.error);
+  if (degraded == nullptr) {
+    if (first_error != nullptr) std::rethrow_exception(first_error);
+  } else {
+    *degraded = std::move(report);
   }
-  if (degraded != nullptr) *degraded = std::move(report);
   return out;
 }
 
-/// Deterministic sharded map: run_sharded_keep + merge every shard's
-/// metrics into the ambient registry (Registry::current()) in job-index
-/// order. This is the right call for sweeps that consume every job —
-/// bench rung ladders, parameter grids. Returns the per-job results.
+/// Deterministic sharded map: run_sharded_resilient with the default
+/// policy + merge every shard's metrics into the ambient registry
+/// (Registry::current()) in job-index order. This is the right call for
+/// sweeps that consume every job — bench rung ladders, parameter grids.
+/// Returns the per-job results; the lowest-index job exception, if any,
+/// propagates unchanged.
 template <class Fn>
 [[nodiscard]] auto run_sharded(std::size_t jobs, std::size_t threads,
                                Fn&& fn)
     -> std::vector<std::decay_t<std::invoke_result_t<Fn&, const ShardInfo&>>> {
-  auto sharded = run_sharded_keep(jobs, threads, std::forward<Fn>(fn));
+  auto sharded = run_sharded_resilient(jobs, threads, RetryPolicy{}, nullptr,
+                                       std::forward<Fn>(fn));
   obs::Registry& target = obs::Registry::current();
   for (const auto& shard : sharded.metrics) {
-    if (shard != nullptr) target.merge_from(*shard);
+    target.merge_from(*shard);
   }
   if (obs::SpanCollector* spans = obs::SpanCollector::current();
       spans != nullptr) {
     // Index-ordered like the metric merge, so the merged span sequence
     // (ids included) is bit-identical to a serial run's.
     for (const auto& shard : sharded.spans) {
-      if (shard != nullptr) spans->merge_from(*shard);
+      spans->merge_from(*shard);
     }
   }
   return std::move(sharded.results);

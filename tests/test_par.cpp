@@ -298,18 +298,6 @@ TEST(RunSharded, MetricsBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(RunSharded, SerialPathUsesAmbientRegistryDirectly) {
-  obs::Registry scope;
-  const obs::Registry::ScopedCurrent current(scope);
-  auto out = par::run_sharded_keep(3, 1, [](const par::ShardInfo& info) {
-    EXPECT_EQ(info.metrics, nullptr);  // inline path: no shard registries
-    obs::Registry::current().counter("serial.jobs").add();
-    return info.index;
-  });
-  EXPECT_TRUE(out.metrics.empty());
-  EXPECT_EQ(scope.counter_value("serial.jobs"), 3u);
-}
-
 TEST(RunSharded, LowestIndexExceptionWins) {
   for (const std::size_t threads : {1u, 4u}) {
     try {
@@ -710,6 +698,30 @@ TEST(SoakRunnerRetry, ExhaustedRepeatQuarantinedCampaignSurvives) {
     EXPECT_GE(got.frames_judged, opts.max_frames) << "threads=" << threads;
     EXPECT_GE(got.repeats, 4u) << "threads=" << threads;
   }
+}
+
+TEST(SoakRunnerRetry, SinglePassCampaignHonoursRetry) {
+  // A single-pass campaign (max_frames == 0) is one repeat through the
+  // same scheduler as a budgeted one, so its fault plan and retry policy
+  // apply: a repeat that throws once and recovers is bit-identical to
+  // the fault-free pass.
+  SoakOptions clean_opts;
+  clean_opts.threads = 1;
+  std::uint64_t want_fp = 0;
+  const SoakReport want = run_scoped(budget_scenario(), clean_opts, want_fp);
+  ASSERT_TRUE(want.ok());
+
+  SoakOptions opts = clean_opts;
+  opts.retry.max_attempts = 2;
+  opts.retry.backoff_base_ms = 0.1;
+  opts.fault_plan = par::FaultPlan{};
+  opts.fault_plan->entries.push_back({0, 0, par::FaultKind::kThrow});
+  std::uint64_t fp = 0;
+  const SoakReport got = run_scoped(budget_scenario(), opts, fp);
+  expect_reports_identical(want, got, "single-pass retry");
+  EXPECT_EQ(fp, want_fp);
+  EXPECT_EQ(got.degraded.retries, 1u);
+  EXPECT_FALSE(got.degraded.degraded());
 }
 
 TEST(SoakRunnerParallel, SinglePassCampaignIgnoresThreads) {

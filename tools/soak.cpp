@@ -55,6 +55,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <filesystem>
@@ -591,7 +592,11 @@ int main(int argc, char** argv) {
   std::uint64_t total_frames = 0;
   for (const Scenario& s : scenarios) {
     const SoakRunner runner(per);
+    const auto started = std::chrono::steady_clock::now();
     const SoakReport report = runner.run(s);
+    const double wall_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - started)
+                              .count();
     if (!report.resume_error.empty()) {
       std::fprintf(stderr, "soak: cannot resume: %s\n",
                    report.resume_error.c_str());
@@ -599,6 +604,15 @@ int main(int argc, char** argv) {
     }
     total_frames += report.frames_judged;
     print_report(s, report);
+    // Host-speed rates, printed only: wall time never enters the
+    // registry, so the metrics fingerprint stays deterministic. A
+    // resumed report carries work this process did not do.
+    if (!report.resumed && wall_s > 0.0) {
+      std::printf("  rate: %.0f judged frames/s, %.2f sim-s per wall-s "
+                  "(%.3f s wall)\n",
+                  static_cast<double>(report.frames_judged) / wall_s,
+                  report.sim_seconds / wall_s, wall_s);
+    }
     if (report.degraded.degraded()) any_degraded = true;
     if (!report.ok()) {
       exit_code = 1;
