@@ -53,7 +53,7 @@ Bits demap_bpsk48_hard(std::span<const Cx> points) {
   Bits interleaved;
   interleaved.reserve(48);
   for (const Cx& p : points) {
-    interleaved.push_back(bpsk.demap_hard(p)[0]);
+    interleaved.push_back(static_cast<std::uint8_t>(bpsk.demap_hard_label(p)));
   }
   return bpsk_interleaver().deinterleave(
       std::span<const std::uint8_t>(interleaved));
@@ -232,13 +232,13 @@ CarpoolRxResult CarpoolReceiver::receive_impl(
     result.status = DecodeStatus::kTruncated;
     return result;
   }
-  const Frontend fe = receive_frontend(waveform);
+  Frontend fe = receive_frontend(waveform);
   result.sync_quality = fe.sync_quality;
   if (!fe.ok()) {
     result.status = fe.status;
     return result;
   }
-  const std::span<const Cx> wave(fe.corrected);
+  SymbolReader& reader = fe.symbols;
   CxVec h = fe.h;  // running channel estimate H~
 
   // Poisoning guard state (spans subframes; see CarpoolRxConfig).
@@ -250,12 +250,12 @@ CarpoolRxResult CarpoolReceiver::receive_impl(
   std::size_t sym_idx = 0;
 
   // A-HDR (two BPSK symbols, never phase-injected).
-  const CxVec bins0 = extract_symbol(wave.subspan(pos, kSymbolLen));
+  const CxVec ahdr_bins = reader.read(pos, kAhdrSymbols);
+  const std::span<const Cx> bins0(ahdr_bins.data(), kFftSize);
+  const std::span<const Cx> bins1(ahdr_bins.data() + kFftSize, kFftSize);
   const SymbolEqualization eq0 = equalize_symbol(bins0, h, sym_idx++);
-  pos += kSymbolLen;
-  const CxVec bins1 = extract_symbol(wave.subspan(pos, kSymbolLen));
   const SymbolEqualization eq1 = equalize_symbol(bins1, h, sym_idx++);
-  pos += kSymbolLen;
+  pos += kAhdrSymbols * kSymbolLen;
 
   const Bits ahdr_bits =
       decode_ahdr(eq0.data, eq0.gains, eq1.data, eq1.gains);
@@ -277,13 +277,13 @@ CarpoolRxResult CarpoolReceiver::receive_impl(
   std::size_t k = 0;  // subframe index while walking
 
   while (k <= last_wanted) {
-    if (pos + kSymbolLen > wave.size()) {
+    if (pos + kSymbolLen > reader.size()) {
       // Frame ended before this subframe's SIG. Subframes already decoded
       // stay in `result`; only the walk past this point is lost.
       result.status = DecodeStatus::kTruncated;
       break;
     }
-    const CxVec sig_bins = extract_symbol(wave.subspan(pos, kSymbolLen));
+    const CxVec sig_bins = reader.read(pos);
     const SymbolEqualization sig_eq = equalize_symbol(sig_bins, h, sym_idx);
     const auto sig = decode_sig(sig_eq.data, sig_eq.gains);
     if (!sig) {
@@ -297,10 +297,10 @@ CarpoolRxResult CarpoolReceiver::receive_impl(
 
     const Mcs& m = mcs(sig->mcs_index);
     const std::size_t n_sym = num_data_symbols(m, sig->length_bytes);
-    const bool truncated = pos + (1 + n_sym) * kSymbolLen > wave.size();
+    const bool truncated = pos + (1 + n_sym) * kSymbolLen > reader.size();
     // Data symbols actually present when the capture ends mid-subframe.
     const std::size_t n_avail =
-        truncated ? (wave.size() - pos) / kSymbolLen - 1 : n_sym;
+        truncated ? (reader.size() - pos) / kSymbolLen - 1 : n_sym;
 
     const bool mine = std::find(result.matched.begin(), result.matched.end(),
                                 k) != result.matched.end();
@@ -310,18 +310,17 @@ CarpoolRxResult CarpoolReceiver::receive_impl(
       break;
     }
     if (!mine) {
-      // Skip: track the common phase only (cheap, keeps the side-channel
-      // reference chain alive and mirrors the paper's sampling-without-
-      // decoding energy optimisation).
-      double phase = sig_eq.phase_offset;
-      const CxVec track_bins =
-          extract_symbols(wave.subspan(pos + kSymbolLen), n_sym);
-      for (std::size_t j = 0; j < n_sym; ++j) {
-        const std::span<const Cx> bins(track_bins.data() + j * kFftSize,
-                                       kFftSize);
-        phase = equalize_symbol(bins, h, sym_idx + 1 + j).phase_offset;
+      // Skip: the walk needs only the common phase of the subframe's last
+      // symbol — the reference for our own first side-channel symbol —
+      // so only that symbol is derotated, demodulated and equalized. The
+      // rest are sampled without decoding (the paper's energy
+      // optimisation); the side-channel chain stays intact.
+      prev_phase = sig_eq.phase_offset;
+      if (n_sym > 0) {
+        const CxVec last_bins = reader.read(pos + n_sym * kSymbolLen);
+        prev_phase = equalize_symbol(last_bins, h, sym_idx + n_sym)
+                         .phase_offset;
       }
-      prev_phase = phase;
       result.symbols_pilot_only += 1 + n_sym;
       pos += (1 + n_sym) * kSymbolLen;
       sym_idx += 1 + n_sym;
@@ -432,8 +431,7 @@ CarpoolRxResult CarpoolReceiver::receive_impl(
 
     SoftBits soft;
     soft.reserve(n_avail * m.n_cbps);
-    const CxVec sub_bins =
-        extract_symbols(wave.subspan(pos + kSymbolLen), n_avail);
+    const CxVec sub_bins = reader.read(pos + kSymbolLen, n_avail);
     for (std::size_t j = 0; j < n_avail; ++j) {
       const std::span<const Cx> bins(sub_bins.data() + j * kFftSize,
                                      kFftSize);

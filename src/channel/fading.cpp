@@ -25,6 +25,22 @@ FadingChannel::FadingChannel(const FadingConfig& config)
   rho_ = std::exp(-dt / config.coherence_time);
   cfo_step_ = kTwoPi * config.cfo_hz / config.sample_rate;
   init_taps();
+
+  // evolve() draws from these on every update interval; they depend only
+  // on the configuration and on scatter_scale_ (set by init_taps).
+  const std::size_t L = config.num_taps;
+  std::vector<double> power(L);
+  double total = 0.0;
+  for (std::size_t l = 0; l < L; ++l) {
+    power[l] = std::pow(config.tap_decay, static_cast<double>(l));
+    total += power[l];
+  }
+  innovation_ = std::sqrt(1.0 - rho_ * rho_);
+  tap_sigma_.resize(L);
+  for (std::size_t l = 0; l < L; ++l) {
+    const double p = power[l] / total * scatter_scale_;
+    tap_sigma_[l] = std::sqrt(p / 2.0);
+  }
 }
 
 void FadingChannel::init_taps() {
@@ -63,21 +79,12 @@ void FadingChannel::evolve(std::size_t samples) {
   samples_since_update_ += samples;
   while (samples_since_update_ >= config_.update_interval) {
     samples_since_update_ -= config_.update_interval;
-    const std::size_t L = config_.num_taps;
-    std::vector<double> power(L);
-    double total = 0.0;
-    for (std::size_t l = 0; l < L; ++l) {
-      power[l] = std::pow(config_.tap_decay, static_cast<double>(l));
-      total += power[l];
-    }
-    const double innovation = std::sqrt(1.0 - rho_ * rho_);
-    for (std::size_t l = 0; l < L; ++l) {
-      const double p = power[l] / total * scatter_scale_;
-      const double sigma = std::sqrt(p / 2.0);
+    for (std::size_t l = 0; l < taps_.size(); ++l) {
+      const double sigma = tap_sigma_[l];
       const Cx diffuse = taps_[l] - los_taps_[l];
       taps_[l] = los_taps_[l] + rho_ * diffuse +
-                 innovation * Cx{rng_.gaussian(0.0, sigma),
-                                 rng_.gaussian(0.0, sigma)};
+                 innovation_ * Cx{rng_.gaussian(0.0, sigma),
+                                  rng_.gaussian(0.0, sigma)};
     }
   }
 }

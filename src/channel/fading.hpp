@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "channel/awgn.hpp"
 #include "common/rng.hpp"
@@ -65,6 +66,9 @@ class FadingChannel {
   CxVec los_taps_;       // fixed LOS component (zero if not rician)
   double scatter_scale_ = 1.0;  // scale of the diffuse component
   double rho_ = 1.0;     // AR(1) coefficient per update interval
+  double innovation_ = 0.0;        // sqrt(1 - rho^2)
+  std::vector<double> tap_sigma_;  // per-axis std-dev of each tap's
+                                   // diffuse innovation
   double cfo_phase_ = 0.0;
   double cfo_step_ = 0.0;  // radians per sample
   std::size_t samples_since_update_ = 0;

@@ -42,9 +42,21 @@ CxVec divide(std::span<const Cx> a, std::span<const Cx> b) {
 }
 
 double wrap_angle(double theta) {
-  theta = std::fmod(theta + kPi, kTwoPi);
-  if (theta <= 0.0) theta += kTwoPi;
-  return theta - kPi;
+  const double y = theta + kPi;
+  // fmod is exact, so its value is known without calling it on the two
+  // ranges phase accumulators land in: y itself when |y| < 2pi, and
+  // y - 2pi on [2pi, 4pi), where the subtraction is exact (Sterbenz).
+  // Everything else (large magnitudes, inf, NaN) takes fmod.
+  double r;
+  if (std::abs(y) < kTwoPi) {
+    r = y;
+  } else if (y >= kTwoPi && y < 2.0 * kTwoPi) {
+    r = y - kTwoPi;
+  } else {
+    r = std::fmod(y, kTwoPi);
+  }
+  if (r <= 0.0) r += kTwoPi;
+  return r - kPi;
 }
 
 double evm(std::span<const Cx> rx, std::span<const Cx> ref) {

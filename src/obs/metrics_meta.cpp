@@ -173,6 +173,13 @@ constexpr std::array kCatalog{
                  {"ns", "phy", "OFDM modulation (IFFT + CP) wall time"}},
     CatalogEntry{"phy.ofdm_demodulate",
                  {"ns", "phy", "OFDM demodulation (FFT) wall time"}},
+    CatalogEntry{"phy.frontend",
+                 {"ns", "phy",
+                  "Preamble front end (CFO, sync quality, channel estimate) "
+                  "wall time"}},
+    CatalogEntry{"phy.demap",
+                 {"ns", "phy",
+                  "Per-symbol hard or soft demap + deinterleave wall time"}},
     CatalogEntry{"fec.viterbi_decode",
                  {"ns", "fec", "Viterbi decode wall time"}},
     CatalogEntry{"carpool.ahdr_encode",

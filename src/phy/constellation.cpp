@@ -1,5 +1,6 @@
 #include "phy/constellation.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <limits>
@@ -89,6 +90,13 @@ Constellation::Constellation(Modulation mod)
     points_[label] = norm * Cx{pam_level(i_packed, axis_bits),
                                pam_level(q_packed, axis_bits)};
   }
+  i_bits_ = mod == Modulation::kBpsk ? 1 : nbits_ / 2;
+  i_count_ = std::size_t{1} << i_bits_;
+  q_count_ = count / i_count_;
+  for (std::size_t i = 0; i < i_count_; ++i) i_levels_[i] = points_[i].real();
+  for (std::size_t q = 0; q < q_count_; ++q) {
+    q_levels_[q] = points_[q << i_bits_].imag();
+  }
 }
 
 Cx Constellation::map(std::span<const std::uint8_t> bits) const {
@@ -114,7 +122,7 @@ CxVec Constellation::map_all(std::span<const std::uint8_t> bits) const {
   return out;
 }
 
-Bits Constellation::demap_hard(Cx received) const {
+std::size_t Constellation::demap_hard_label(Cx received) const noexcept {
   std::size_t best = 0;
   double best_dist = std::numeric_limits<double>::infinity();
   for (std::size_t label = 0; label < points_.size(); ++label) {
@@ -124,6 +132,11 @@ Bits Constellation::demap_hard(Cx received) const {
       best = label;
     }
   }
+  return best;
+}
+
+Bits Constellation::demap_hard(Cx received) const {
+  const std::size_t best = demap_hard_label(received);
   Bits bits(nbits_);
   for (std::size_t i = 0; i < nbits_; ++i) {
     bits[i] = static_cast<std::uint8_t>((best >> i) & 1u);
@@ -134,17 +147,42 @@ Bits Constellation::demap_hard(Cx received) const {
 void Constellation::demap_soft(Cx received, double gain, SoftBits& out) const {
   // Max-log LLR per bit: min distance over points with the bit = 0 minus
   // min distance over points with the bit = 1; positive favours bit 1.
-  for (std::size_t bit = 0; bit < nbits_; ++bit) {
-    double min0 = std::numeric_limits<double>::infinity();
-    double min1 = std::numeric_limits<double>::infinity();
-    for (std::size_t label = 0; label < points_.size(); ++label) {
-      const double d = std::norm(received - points_[label]);
-      if ((label >> bit) & 1u) {
-        min1 = std::min(min1, d);
-      } else {
-        min0 = std::min(min0, d);
-      }
+  // The distance to point (i, q) is fl(dx_i^2 + dy_q^2), and IEEE
+  // addition is monotone in each operand, so its minimum over the points
+  // whose I (or Q) bit is c equals fl(min dx^2 + min dy^2) over the two
+  // axis halves: bit-identical to searching every point, with one
+  // distance per axis level instead of one per point and bit.
+  std::array<double, kMaxAxisLevels> dx2{};
+  std::array<double, kMaxAxisLevels> dy2{};
+  for (std::size_t i = 0; i < i_count_; ++i) {
+    const double dx = received.real() - i_levels_[i];
+    dx2[i] = dx * dx;
+  }
+  for (std::size_t q = 0; q < q_count_; ++q) {
+    const double dy = received.imag() - q_levels_[q];
+    dy2[q] = dy * dy;
+  }
+  // Minimum over the levels whose index has bit `bit` equal to `value`
+  // (every level when bit == kAll), skipping NaN as the point search does.
+  constexpr std::size_t kAll = static_cast<std::size_t>(-1);
+  auto half_min = [](const std::array<double, kMaxAxisLevels>& d,
+                     std::size_t count, std::size_t bit, std::size_t value) {
+    double m = std::numeric_limits<double>::infinity();
+    for (std::size_t k = 0; k < count; ++k) {
+      if (bit == kAll || ((k >> bit) & 1u) == value) m = std::min(m, d[k]);
     }
+    return m;
+  };
+  const double dx2_min = half_min(dx2, i_count_, kAll, 0);
+  const double dy2_min = half_min(dy2, q_count_, kAll, 0);
+  for (std::size_t bit = 0; bit < i_bits_; ++bit) {
+    const double min0 = half_min(dx2, i_count_, bit, 0) + dy2_min;
+    const double min1 = half_min(dx2, i_count_, bit, 1) + dy2_min;
+    out.push_back(gain * (min0 - min1));
+  }
+  for (std::size_t bit = 0; bit + i_bits_ < nbits_; ++bit) {
+    const double min0 = dx2_min + half_min(dy2, q_count_, bit, 0);
+    const double min1 = dx2_min + half_min(dy2, q_count_, bit, 1);
     out.push_back(gain * (min0 - min1));
   }
 }

@@ -5,6 +5,7 @@
 //   BPSK {+-1}, QPSK (+-1 +-j)/sqrt(2), 16-QAM {+-1,+-3}/sqrt(10),
 //   64-QAM {+-1,..,+-7}/sqrt(42).
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string_view>
@@ -40,6 +41,10 @@ class Constellation {
   /// Map a full bit stream; size must be a multiple of bits_per_point().
   [[nodiscard]] CxVec map_all(std::span<const std::uint8_t> bits) const;
 
+  /// Hard decision: the bit label (LSB-first) of the nearest point, by a
+  /// search over every point in label order (ties go to the lower label).
+  [[nodiscard]] std::size_t demap_hard_label(Cx received) const noexcept;
+
   /// Hard decision: nearest point's bit label.
   [[nodiscard]] Bits demap_hard(Cx received) const;
 
@@ -49,9 +54,19 @@ class Constellation {
   void demap_soft(Cx received, double gain, SoftBits& out) const;
 
  private:
+  static constexpr std::size_t kMaxAxisLevels = 8;  ///< 64-QAM: 8 per axis
+
   Modulation mod_;
   std::size_t nbits_;
   CxVec points_;
+  // The same points as a product of per-axis levels: label bits
+  // [0, i_bits_) pick the I level, the rest the Q level (BPSK: one Q
+  // level, 0).
+  std::size_t i_bits_ = 0;
+  std::size_t i_count_ = 0;
+  std::size_t q_count_ = 0;
+  std::array<double, kMaxAxisLevels> i_levels_{};
+  std::array<double, kMaxAxisLevels> q_levels_{};
 };
 
 /// Shared immutable instance per modulation.

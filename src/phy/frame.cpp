@@ -6,6 +6,7 @@
 #include "fec/interleaver.hpp"
 #include "fec/scrambler.hpp"
 #include "fec/viterbi.hpp"
+#include "obs/timer.hpp"
 
 namespace carpool {
 namespace {
@@ -126,6 +127,7 @@ void demap_symbol_soft(std::span<const Cx> points,
       gains.size() != kNumDataSubcarriers) {
     throw std::invalid_argument("demap_symbol_soft: need 48 points");
   }
+  OBS_SCOPED_TIMER("phy.demap");
   const Constellation& con = constellation(m.modulation);
   SoftBits interleaved;
   interleaved.reserve(m.n_cbps);
@@ -140,12 +142,15 @@ Bits demap_symbol_hard(std::span<const Cx> points, const Mcs& m) {
   if (points.size() != kNumDataSubcarriers) {
     throw std::invalid_argument("demap_symbol_hard: need 48 points");
   }
+  OBS_SCOPED_TIMER("phy.demap");
   const Constellation& con = constellation(m.modulation);
-  Bits interleaved;
-  interleaved.reserve(m.n_cbps);
-  for (const Cx& p : points) {
-    const Bits bits = con.demap_hard(p);
-    interleaved.insert(interleaved.end(), bits.begin(), bits.end());
+  const std::size_t nbits = con.bits_per_point();
+  Bits interleaved(m.n_cbps);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const std::size_t label = con.demap_hard_label(points[i]);
+    for (std::size_t b = 0; b < nbits; ++b) {
+      interleaved[i * nbits + b] = static_cast<std::uint8_t>((label >> b) & 1u);
+    }
   }
   return interleaver_for(m).deinterleave(std::span<const std::uint8_t>(
       interleaved.data(), interleaved.size()));
@@ -183,6 +188,38 @@ CxVec LegacyTransmitter::build(std::span<const std::uint8_t> psdu,
   return wave;
 }
 
+CxVec SymbolReader::read(std::size_t start, std::size_t count) {
+  if (start < next_) {
+    throw std::logic_error("SymbolReader: reads must move forward");
+  }
+  if (start > wave_.size() || count > (wave_.size() - start) / kSymbolLen) {
+    throw std::invalid_argument("SymbolReader: not enough samples");
+  }
+  CxVec bins(count * kFftSize);
+  Cx* out = bins.data();
+  for (std::size_t s = 0; s < count; ++s) {
+    skip_to(start + s * kSymbolLen + kCpLen);
+    for (std::size_t i = 0; i < kFftSize; ++i, ++next_) {
+      // The two corrections in the order receive_frontend estimated them.
+      Cx sample = wave_[next_];
+      sample *= cx_exp(-coarse_phase_);
+      sample *= cx_exp(-fine_phase_);
+      *out++ = sample;
+      coarse_phase_ += coarse_step_;
+      fine_phase_ += fine_step_;
+    }
+  }
+  demodulate_windows(bins);
+  return bins;
+}
+
+void SymbolReader::skip_to(std::size_t n) noexcept {
+  for (; next_ < n; ++next_) {
+    coarse_phase_ += coarse_step_;
+    fine_phase_ += fine_step_;
+  }
+}
+
 Frontend receive_frontend(std::span<const Cx> waveform) {
   Frontend fe;
   if (waveform.size() < kPreambleLen) {
@@ -192,15 +229,16 @@ Frontend receive_frontend(std::span<const Cx> waveform) {
     fe.status = DecodeStatus::kTruncated;
     return fe;
   }
-  fe.corrected.assign(waveform.begin(), waveform.end());
+  OBS_SCOPED_TIMER("phy.frontend");
+  CxVec preamble(waveform.begin(), waveform.begin() + kPreambleLen);
 
   const double coarse =
-      estimate_coarse_cfo(std::span<const Cx>(fe.corrected).first(kStfLen));
-  apply_cfo_correction(fe.corrected, coarse);
+      estimate_coarse_cfo(std::span<const Cx>(preamble).first(kStfLen));
+  apply_cfo_correction(preamble, coarse);
 
   const double fine = estimate_fine_cfo(
-      std::span<const Cx>(fe.corrected).subspan(kStfLen, kLtfLen));
-  apply_cfo_correction(fe.corrected, fine);
+      std::span<const Cx>(preamble).subspan(kStfLen, kLtfLen));
+  apply_cfo_correction(preamble, fine);
 
   fe.cfo_radians_per_sample = coarse + fine;
 
@@ -208,7 +246,7 @@ Frontend receive_frontend(std::span<const Cx> waveform) {
   // are identical on the air, so |corr| / power ~ S/(S+N). Pure noise or a
   // grossly mistimed capture scores near zero — below the threshold there
   // is no preamble to estimate a channel from.
-  const std::span<const Cx> ltf(fe.corrected.data() + kStfLen, kLtfLen);
+  const std::span<const Cx> ltf(preamble.data() + kStfLen, kLtfLen);
   Cx corr{};
   double power = 0.0;
   for (std::size_t n = kLtfCpLen; n < kLtfCpLen + kFftSize; ++n) {
@@ -224,8 +262,8 @@ Frontend receive_frontend(std::span<const Cx> waveform) {
     return fe;
   }
 
-  fe.h = estimate_channel_from_ltf(
-      std::span<const Cx>(fe.corrected).subspan(kStfLen, kLtfLen));
+  fe.h = estimate_channel_from_ltf(ltf);
+  fe.symbols = SymbolReader(waveform, coarse, fine);
   return fe;
 }
 
@@ -235,16 +273,14 @@ LegacyRxResult LegacyReceiver::receive(std::span<const Cx> waveform) const {
     result.status = DecodeStatus::kTruncated;
     return result;
   }
-  const Frontend fe = receive_frontend(waveform);
+  Frontend fe = receive_frontend(waveform);
   if (!fe.ok()) {
     result.status = fe.status;
     return result;
   }
-  const std::span<const Cx> wave(fe.corrected);
 
   // SIG.
-  const CxVec sig_bins =
-      extract_symbol(wave.subspan(fe.data_start, kSymbolLen));
+  const CxVec sig_bins = fe.symbols.read(fe.data_start);
   const SymbolEqualization sig_eq = equalize_symbol(sig_bins, fe.h, 0);
   const auto sig = decode_sig(sig_eq.data, sig_eq.gains);
   if (!sig) {
@@ -265,8 +301,7 @@ LegacyRxResult LegacyReceiver::receive(std::span<const Cx> waveform) const {
 
   SoftBits soft;
   soft.reserve(n_sym * m.n_cbps);
-  const CxVec all_bins =
-      extract_symbols(wave.subspan(fe.data_start + kSymbolLen), n_sym);
+  const CxVec all_bins = fe.symbols.read(fe.data_start + kSymbolLen, n_sym);
   for (std::size_t i = 0; i < n_sym; ++i) {
     const std::span<const Cx> bins(all_bins.data() + i * kFftSize, kFftSize);
     const SymbolEqualization eq = equalize_symbol(bins, fe.h, i + 1);

@@ -87,9 +87,46 @@ class LegacyTransmitter {
                             const Mcs& m) const;
 };
 
+/// Forward-only reader of a received frame's OFDM symbols, derotating the
+/// frame's CFO on the fly. The estimate is applied as two corrections —
+/// coarse, then fine — each a phase accumulator that starts at 0 on
+/// sample 0 and grows by one step per sample. Only the 64 FFT-window
+/// samples of the symbols a caller reads are rotated; the accumulators
+/// still take one `+=` per sample in between, so every bin is
+/// bit-identical to derotating the whole capture and demodulating it.
+/// A receiver pays for the symbols it reads, not for the capture: the
+/// cyclic prefixes and a skipped subframe's symbols cost one addition per
+/// sample each. Refers to the caller's waveform, which must outlive it.
+class SymbolReader {
+ public:
+  SymbolReader() = default;
+  SymbolReader(std::span<const Cx> waveform, double coarse_cfo,
+               double fine_cfo) noexcept
+      : wave_(waveform), coarse_step_(coarse_cfo), fine_step_(fine_cfo) {}
+
+  /// Samples in the capture.
+  [[nodiscard]] std::size_t size() const noexcept { return wave_.size(); }
+
+  /// Frequency bins of `count` back-to-back 80-sample symbols starting at
+  /// sample `start`: count * kFftSize bins, symbol s at s * kFftSize.
+  /// Throws std::invalid_argument if the capture ends first and
+  /// std::logic_error if `start` precedes the end of an earlier read.
+  [[nodiscard]] CxVec read(std::size_t start, std::size_t count = 1);
+
+ private:
+  /// Advance both accumulators to sample `n` without rotating anything.
+  void skip_to(std::size_t n) noexcept;
+
+  std::span<const Cx> wave_;
+  double coarse_step_ = 0.0;
+  double fine_step_ = 0.0;
+  double coarse_phase_ = 0.0;
+  double fine_phase_ = 0.0;
+  std::size_t next_ = 0;  ///< sample the accumulators have reached
+};
+
 /// Result of the shared preamble front end.
 struct Frontend {
-  CxVec corrected;  ///< CFO-corrected copy of the waveform
   CxVec h;          ///< initial channel estimate (64 bins)
   double cfo_radians_per_sample = 0.0;
   std::size_t data_start = kPreambleLen;  ///< index of the first symbol
@@ -97,6 +134,9 @@ struct Frontend {
   /// Normalised correlation of the two LTF repeats (1 = textbook
   /// preamble, ~0 = noise). Diagnostic behind the kSyncLost verdict.
   double sync_quality = 0.0;
+  /// CFO-derotating reader over the waveform handed to receive_frontend
+  /// (meaningful when ok()); every receiver reads its symbols through it.
+  SymbolReader symbols;
 
   [[nodiscard]] bool ok() const noexcept {
     return status == DecodeStatus::kOk;
@@ -104,6 +144,8 @@ struct Frontend {
 };
 
 /// Run STF/LTF processing on a received waveform that starts at sample 0.
+/// Only the 320-sample preamble is derotated here; the symbols after it
+/// are read through Frontend::symbols, which refers to `waveform`.
 /// Never throws on malformed input: a waveform shorter than the preamble
 /// comes back as kTruncated (with empty estimates) and a destroyed
 /// preamble as kSyncLost; callers check Frontend::ok() before using the

@@ -1,6 +1,5 @@
 #include "phy/ofdm.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -86,26 +85,19 @@ CxVec extract_symbol(std::span<const Cx> samples) {
   if (samples.size() != kSymbolLen) {
     throw std::invalid_argument("extract_symbol: need 80 samples");
   }
-  OBS_TIMED_SPAN("phy.ofdm_demodulate");
-  CxVec time(samples.begin() + kCpLen, samples.end());
-  fft_inplace(time);
-  scale(time, 1.0 / kScale);
-  return time;
+  CxVec bins(samples.begin() + kCpLen, samples.end());
+  demodulate_windows(bins);
+  return bins;
 }
 
-CxVec extract_symbols(std::span<const Cx> samples, std::size_t count) {
-  if (samples.size() < count * kSymbolLen) {
-    throw std::invalid_argument("extract_symbols: not enough samples");
+void demodulate_windows(std::span<Cx> windows) {
+  if (windows.size() % kFftSize != 0) {
+    throw std::invalid_argument("demodulate_windows: not whole windows");
   }
   OBS_TIMED_SPAN("phy.ofdm_demodulate");
-  CxVec bins(count * kFftSize);
-  for (std::size_t s = 0; s < count; ++s) {
-    const Cx* src = samples.data() + s * kSymbolLen + kCpLen;
-    std::copy(src, src + kFftSize, bins.begin() + s * kFftSize);
-  }
-  dsp::active_backend().fft_batch(bins.data(), kFftSize, count, -1);
-  scale(bins, 1.0 / kScale);
-  return bins;
+  dsp::active_backend().fft_batch(windows.data(), kFftSize,
+                                  windows.size() / kFftSize, -1);
+  scale(windows, 1.0 / kScale);
 }
 
 CxVec gather_data(std::span<const Cx> bins) {

@@ -46,12 +46,12 @@ CxVec assemble_symbol(std::span<const Cx> data, std::size_t symbol_index,
 /// so an ideal channel returns the transmitted points).
 CxVec extract_symbol(std::span<const Cx> samples);
 
-/// Batched extract_symbol over `count` back-to-back 80-sample symbols
-/// (samples must hold at least count * kSymbolLen entries): returns
-/// count * kFftSize bins, symbol s at offset s * kFftSize. One
-/// dsp::fft_batch sweep — the SIMD tiers carry one symbol per vector
-/// lane — with bit-identical bins to per-symbol extraction.
-CxVec extract_symbols(std::span<const Cx> samples, std::size_t count);
+/// FFT back-to-back 64-sample windows (symbols with their CP already
+/// dropped) in place into frequency bins, normalised as extract_symbol():
+/// window s becomes the bins of symbol s. One dsp::fft_batch sweep — the
+/// SIMD tiers carry one symbol per vector lane — with bins bit-identical
+/// to per-symbol extraction. The size must be a multiple of kFftSize.
+void demodulate_windows(std::span<Cx> windows);
 
 /// Gather the data subcarriers (48) out of 64 frequency bins.
 CxVec gather_data(std::span<const Cx> bins);

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+
 #include "common/rng.hpp"
 #include "dsp/complex_vec.hpp"
 #include "dsp/fft.hpp"
@@ -110,6 +114,51 @@ TEST(ComplexVec, WrapAngle) {
   EXPECT_NEAR(wrap_angle(kTwoPi + 0.1), 0.1, 1e-12);
   EXPECT_NEAR(wrap_angle(-kTwoPi - 0.1), -0.1, 1e-12);
   EXPECT_NEAR(wrap_angle(3 * kPi), kPi, 1e-12);
+}
+
+/// The plain fmod formula: the reference wrap_angle's fmod-free fast path
+/// must reproduce bit for bit.
+double wrap_angle_fmod(double theta) {
+  theta = std::fmod(theta + kPi, kTwoPi);
+  if (theta <= 0.0) theta += kTwoPi;
+  return theta - kPi;
+}
+
+TEST(ComplexVec, WrapAngleFastPathMatchesFmodBitForBit) {
+  auto same_bits = [](double theta) {
+    const double got = wrap_angle(theta);
+    const double want = wrap_angle_fmod(theta);
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+        << "theta " << theta << " got " << got << " want " << want;
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  // theta + pi lands on 0, 2pi, 4pi (and -2pi) and their nextafter
+  // neighbours: walk a few ulps either side of each target - pi, so the
+  // fast-path boundaries are hit from both sides.
+  for (const double y : {0.0, kTwoPi, 2.0 * kTwoPi, -kTwoPi}) {
+    double below = y - kPi;
+    double above = below;
+    for (int ulp = 0; ulp < 8; ++ulp) {
+      same_bits(below);
+      same_bits(above);
+      below = std::nextafter(below, -inf);
+      above = std::nextafter(above, inf);
+    }
+  }
+  for (const double theta :
+       {0.0, -0.0, kPi, -kPi, 3 * kPi, -3 * kPi, -1.0, -7.5, -100.0, 1e300,
+        -1e300, 1e-300, inf, -inf, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::denorm_min()}) {
+    same_bits(theta);
+  }
+  // Random angles and a long phase accumulator, the channel's use.
+  Rng rng(123);
+  for (int i = 0; i < 20000; ++i) same_bits(rng.uniform(-40.0, 40.0));
+  double phase = 0.0;
+  for (int i = 0; i < 200000; ++i) {
+    same_bits(phase + 0.0137);
+    phase = wrap_angle_fmod(phase + 0.0137);
+  }
 }
 
 TEST(ComplexVec, EvmZeroForIdentical) {

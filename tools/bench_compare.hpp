@@ -17,7 +17,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -30,6 +32,25 @@
 namespace carpool::benchcmp {
 
 namespace fs = std::filesystem;
+
+/// Strict parse of a --threshold / --sigma value: the whole text must be
+/// a finite, non-negative number. Garbage ("abc"), a trailing suffix
+/// ("3x"), a negative value, inf/nan and an empty or missing value all
+/// yield nullopt, which the tools turn into usage + exit 2.
+inline std::optional<double> parse_non_negative(const char* text) {
+  if (text == nullptr || *text == '\0' ||
+      std::isspace(static_cast<unsigned char>(*text))) {
+    return std::nullopt;
+  }
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno == ERANGE || !std::isfinite(v) ||
+      !(v >= 0.0)) {
+    return std::nullopt;
+  }
+  return v;
+}
 
 // ------------------------------------------------------------------ JSON
 // Minimal recursive-descent parser for the flat metrics schema. Values we

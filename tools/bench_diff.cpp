@@ -36,6 +36,7 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -57,29 +58,40 @@ struct Regression {
 
 }  // namespace
 
+constexpr const char* kUsage =
+    "usage: bench_diff <baseline_dir> <current_dir> "
+    "[--threshold <pct>] [--sigma <k>]\n";
+
 int main(int argc, char** argv) {
   std::vector<std::string> positional;
   double threshold_pct = 10.0;
   double sigma = 3.0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--threshold" && i + 1 < argc) {
-      threshold_pct = std::stod(argv[++i]);
-    } else if (arg == "--sigma" && i + 1 < argc) {
-      sigma = std::stod(argv[++i]);
+    if (arg == "--threshold" || arg == "--sigma") {
+      const char* text = i + 1 < argc ? argv[++i] : nullptr;
+      const std::optional<double> value = parse_non_negative(text);
+      if (!value) {
+        std::fprintf(stderr,
+                     "bench_diff: %s wants a non-negative number, got "
+                     "\"%s\"\n%s",
+                     arg.c_str(), text == nullptr ? "" : text, kUsage);
+        return 2;
+      }
+      if (arg == "--threshold") {
+        threshold_pct = *value;
+      } else {
+        sigma = *value;
+      }
     } else if (arg == "-h" || arg == "--help") {
-      std::printf(
-          "usage: bench_diff <baseline_dir> <current_dir> "
-          "[--threshold <pct>] [--sigma <k>]\n");
+      std::printf("%s", kUsage);
       return 0;
     } else {
       positional.push_back(arg);
     }
   }
   if (positional.size() != 2) {
-    std::fprintf(stderr,
-                 "usage: bench_diff <baseline_dir> <current_dir> "
-                 "[--threshold <pct>] [--sigma <k>]\n");
+    std::fprintf(stderr, "%s", kUsage);
     return 2;
   }
   const fs::path baseline_dir = positional[0];

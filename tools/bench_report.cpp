@@ -323,6 +323,12 @@ bool write_markdown(const std::string& path,
 
 }  // namespace
 
+constexpr const char* kUsage =
+    "usage: bench_report <baseline_dir> [--current <dir>] "
+    "[--out <report.html>]\n"
+    "                    [--md <summary.md>] [--threshold <pct>] "
+    "[--sigma <k>]\n";
+
 int main(int argc, char** argv) {
   std::string baseline_arg;
   std::string current_arg;
@@ -334,8 +340,8 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
       if (i + 1 >= argc) {
-        std::fprintf(stderr, "bench_report: %s needs a value\n",
-                     arg.c_str());
+        std::fprintf(stderr, "bench_report: %s needs a value\n%s",
+                     arg.c_str(), kUsage);
         std::exit(2);
       }
       return argv[++i];
@@ -346,16 +352,23 @@ int main(int argc, char** argv) {
       out_path = next();
     } else if (arg == "--md") {
       md_path = next();
-    } else if (arg == "--threshold") {
-      threshold_pct = std::stod(next());
-    } else if (arg == "--sigma") {
-      sigma = std::stod(next());
+    } else if (arg == "--threshold" || arg == "--sigma") {
+      const char* text = next();
+      const std::optional<double> value = parse_non_negative(text);
+      if (!value) {
+        std::fprintf(stderr,
+                     "bench_report: %s wants a non-negative number, got "
+                     "\"%s\"\n%s",
+                     arg.c_str(), text, kUsage);
+        return 2;
+      }
+      if (arg == "--threshold") {
+        threshold_pct = *value;
+      } else {
+        sigma = *value;
+      }
     } else if (arg == "-h" || arg == "--help") {
-      std::printf(
-          "usage: bench_report <baseline_dir> [--current <dir>] "
-          "[--out <report.html>]\n"
-          "                    [--md <summary.md>] [--threshold <pct>] "
-          "[--sigma <k>]\n");
+      std::printf("%s", kUsage);
       return 0;
     } else if (baseline_arg.empty()) {
       baseline_arg = arg;
