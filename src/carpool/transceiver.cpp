@@ -203,14 +203,16 @@ CarpoolReceiver::CarpoolReceiver(CarpoolRxConfig config) noexcept
 
 CarpoolRxResult CarpoolReceiver::receive(std::span<const Cx> waveform) const {
   // Frame-decode span: wall-clock interval of the whole receive attempt,
-  // carrying the final DecodeStatus. Child spans (per-subframe decodes,
+  // carrying the final DecodeStatus and how many subframes the A-HDR
+  // matched. Child spans (per-subframe decodes, PHY instants,
   // OBS_TIMED_SPAN leaf stages like fec.viterbi_decode) nest underneath.
   obs::Span frame_span("carpool.rx_frame");
   // Backstop: no exception may escape a decode. Anything the structured
   // paths missed is contained here and reported as kInternalError.
   try {
     CarpoolRxResult result = receive_impl(waveform);
-    frame_span.outcome(to_string(result.status));
+    frame_span.outcome(to_string(result.status))
+        .arg("ahdr_matched", result.matched.size());
     return result;
   } catch (...) {
     obs::Registry::current().counter("phy.decode_exceptions").add();
@@ -263,10 +265,6 @@ CarpoolRxResult CarpoolReceiver::receive_impl(
   const auto bloom =
       AggregationBloomFilter::from_bits(ahdr_bits, config_.bloom_hashes);
   result.matched = bloom.matched_subframes(config_.self);
-  OBS_TRACE(config_.trace,
-            obs_ts.event("phy.ahdr")
-                .f("matched",
-                   static_cast<std::uint64_t>(result.matched.size())));
   if (result.matched.empty()) {
     result.status = DecodeStatus::kAhdrMiss;
     return result;  // drop without decoding
@@ -341,16 +339,12 @@ CarpoolRxResult CarpoolReceiver::receive_impl(
 
     auto handle_side = [&](const SideChannelDecoder::SymbolOutcome& outcome,
                            std::size_t group_end_sym) {
-      if (!outcome.group_verified.has_value()) {
-        static_cast<void>(group_end_sym);  // only read by tracing
-        return;
-      }
+      if (!outcome.group_verified.has_value()) return;
       sub.group_verified.push_back(*outcome.group_verified);
-      OBS_TRACE(config_.trace,
-                obs_ts.event("phy.side_crc")
-                    .f("sym", static_cast<std::uint64_t>(group_end_sym))
-                    .f("subframe", static_cast<std::uint64_t>(k))
-                    .f("ok", *outcome.group_verified));
+      obs::Instant("phy.side_crc")
+          .ids({.subframe = static_cast<std::int64_t>(k)})
+          .arg("sym", group_end_sym)
+          .arg("ok", *outcome.group_verified);
       if (!*outcome.group_verified) {
         ++failed_groups;
         if (config_.use_rte && config_.rte_freeze_after > 0 &&
@@ -366,12 +360,10 @@ CarpoolRxResult CarpoolReceiver::receive_impl(
           obs::Registry& reg = obs::Registry::current();
           reg.counter("phy.rte_freeze").add();
           reg.counter("phy.rte_rollback").add();
-          OBS_TRACE(config_.trace,
-                    obs_ts.event("phy.rte_freeze")
-                        .f("sym", static_cast<std::uint64_t>(group_end_sym))
-                        .f("subframe", static_cast<std::uint64_t>(k))
-                        .f("failed_groups",
-                           static_cast<std::uint64_t>(failed_groups)));
+          obs::Instant("phy.rte_freeze")
+              .ids({.subframe = static_cast<std::int64_t>(k)})
+              .arg("sym", group_end_sym)
+              .arg("failed_groups", failed_groups);
         }
         pending.clear();
         return;
@@ -402,11 +394,10 @@ CarpoolRxResult CarpoolReceiver::receive_impl(
               .counter("phy.rte_delta_clamped")
               .add(clamped);
         }
-        OBS_TRACE(config_.trace,
-                  obs_ts.event("phy.rte_update")
-                      .f("sym", static_cast<std::uint64_t>(group_end_sym))
-                      .f("subframe", static_cast<std::uint64_t>(k))
-                      .f("pilots", static_cast<std::uint64_t>(applied)));
+        obs::Instant("phy.rte_update")
+            .ids({.subframe = static_cast<std::int64_t>(k)})
+            .arg("sym", group_end_sym)
+            .arg("pilots", applied);
       }
       pending.clear();
     };
@@ -419,12 +410,11 @@ CarpoolRxResult CarpoolReceiver::receive_impl(
       const double sig_evm = evm(sig_eq.data, sig_ref);
       pending.push_back(PendingPilot{sig_bins, std::move(sig_ref),
                                      sig_eq.phase_offset, sym_idx, sig_evm});
-      OBS_TRACE(config_.trace,
-                obs_ts.event("phy.symbol")
-                    .f("sym", static_cast<std::uint64_t>(sym_idx))
-                    .f("subframe", static_cast<std::uint64_t>(k))
-                    .f("kind", "sig")
-                    .f("evm", sig_evm));
+      obs::Instant("phy.symbol")
+          .ids({.subframe = static_cast<std::int64_t>(k)})
+          .arg("sym", sym_idx)
+          .arg("kind", "sig")
+          .arg("evm", sig_evm);
       handle_side(outcome, sym_idx);
     }
     prev_phase = sig_eq.phase_offset;
@@ -448,13 +438,12 @@ CarpoolRxResult CarpoolReceiver::receive_impl(
         pending.push_back(PendingPilot{CxVec(bins.begin(), bins.end()),
                                        std::move(ref), eq.phase_offset,
                                        sym_idx + 1 + j, sym_evm});
-        OBS_TRACE(config_.trace,
-                  obs_ts.event("phy.symbol")
-                      .f("sym", static_cast<std::uint64_t>(sym_idx + 1 + j))
-                      .f("subframe", static_cast<std::uint64_t>(k))
-                      .f("data_sym", static_cast<std::uint64_t>(j))
-                      .f("kind", "data")
-                      .f("evm", sym_evm));
+        obs::Instant("phy.symbol")
+            .ids({.subframe = static_cast<std::int64_t>(k)})
+            .arg("sym", sym_idx + 1 + j)
+            .arg("data_sym", j)
+            .arg("kind", "data")
+            .arg("evm", sym_evm);
         handle_side(outcome, sym_idx + 1 + j);
       }
       prev_phase = eq.phase_offset;
@@ -472,20 +461,15 @@ CarpoolRxResult CarpoolReceiver::receive_impl(
     sub.status = truncated ? DecodeStatus::kTruncated
                  : sub.fcs_ok ? DecodeStatus::kOk
                               : DecodeStatus::kFcsFail;
-    sub_span.outcome(to_string(sub.status));
+    sub_span.outcome(to_string(sub.status))
+        .arg("symbols", 1 + n_avail)
+        .arg("decoded", sub.decoded)
+        .arg("fcs_ok", sub.fcs_ok)
+        .arg("rte_updates", sub.rte_updates);
     obs::Registry& reg = obs::Registry::current();
     reg.counter("phy.subframes_decoded").add();
     obs::Counter& fcs_failures = reg.counter("phy.fcs_failures");
     if (!sub.fcs_ok) fcs_failures.add();
-    OBS_TRACE(config_.trace,
-              obs_ts.event("phy.subframe")
-                  .f("subframe", static_cast<std::uint64_t>(k))
-                  .f("symbols", static_cast<std::uint64_t>(1 + n_avail))
-                  .f("decoded", sub.decoded)
-                  .f("fcs_ok", sub.fcs_ok)
-                  .f("status", to_string(sub.status))
-                  .f("rte_updates",
-                     static_cast<std::uint64_t>(sub.rte_updates)));
     result.symbols_full_decoded += 1 + n_avail;
     result.subframes.push_back(std::move(sub));
     if (truncated) {

@@ -7,6 +7,7 @@
 #include "carpool/transceiver.hpp"
 #include "mac/rate_adaptation.hpp"
 #include "obs/registry.hpp"
+#include "obs/span.hpp"
 
 namespace carpool::mac {
 namespace {
@@ -156,12 +157,11 @@ void LinkStateMachine::set_health(StaLinkState& s, NodeId sta, LinkHealth to,
   if (policy_.record_transitions) {
     log_.push_back(LinkTransition{when, sta, from, to, rate});
   }
-  OBS_TRACE(trace_, obs_ts.event("mac.ls_transition")
-                        .f("t", when)
-                        .f("sta", static_cast<std::uint64_t>(sta))
-                        .f("from", link_health_name(from))
-                        .f("to", link_health_name(to))
-                        .f("rate_bps", rate));
+  obs::Instant("mac.ls_transition", when)
+      .ids({.sta = static_cast<std::int64_t>(sta)})
+      .arg("from", link_health_name(from))
+      .arg("to", link_health_name(to))
+      .arg("rate_bps", rate);
 }
 
 void LinkStateMachine::settle_delivering_health(StaLinkState& s, NodeId sta,
@@ -177,10 +177,9 @@ void LinkStateMachine::suspend(StaLinkState& s, NodeId sta, double when) {
   s.timeout = std::min(2.0 * s.timeout, policy_.max_timeout);
   ++suspensions_;
   obs::Registry::current().counter("mac.lq_suspend").add();
-  OBS_TRACE(trace_, obs_ts.event("mac.lq_suspend")
-                        .f("t", when)
-                        .f("sta", static_cast<std::uint64_t>(sta))
-                        .f("until", s.suspended_until));
+  obs::Instant("mac.lq_suspend", when)
+      .ids({.sta = static_cast<std::int64_t>(sta)})
+      .arg("until", s.suspended_until);
   set_health(s, sta, LinkHealth::kSuspended, when);
 }
 
@@ -261,9 +260,8 @@ void LinkStateMachine::advance(double now) {
       s.suspended_until = 0.0;
       ++probes_;
       obs::Registry::current().counter("mac.lq_probe").add();
-      OBS_TRACE(trace_, obs_ts.event("mac.lq_probe")
-                            .f("t", now)
-                            .f("sta", static_cast<std::uint64_t>(sta)));
+      obs::Instant("mac.lq_probe", now)
+          .ids({.sta = static_cast<std::int64_t>(sta)});
       set_health(s, sta, LinkHealth::kProbing, now);
     }
   }

@@ -15,7 +15,55 @@ constexpr int kTidWall = 2;
 /// Breathing room between re-based wall-clock roots (µs).
 constexpr double kRootGapUs = 10.0;
 
-void append_escaped(std::string& out, std::string_view s) {
+std::string num(double v) {
+  if (!std::isfinite(v)) return "0";
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.6f", v);
+  return buf;
+}
+
+void append_args(std::string& out, const SpanRecord& r) {
+  std::string args;
+  append_arg(args, "span", r.id);
+  append_arg(args, "parent", r.parent);
+  append_ids(args, r.ids);
+  if (!r.outcome.empty()) append_arg(args, "outcome", r.outcome);
+  if (!r.args.empty()) args += ',' + r.args;
+  out += "\"args\":{" + args + '}';
+}
+
+void append_complete_event(std::string& out, const SpanRecord& r, int tid,
+                           double ts_us, double dur_us) {
+  out += "{\"name\":\"";
+  append_json_escaped(out, r.name);
+  out += "\",\"ph\":\"X\",\"pid\":" + std::to_string(kPid) +
+         ",\"tid\":" + std::to_string(tid) + ",\"ts\":" + num(ts_us) +
+         ",\"dur\":" + num(dur_us) + ",";
+  append_args(out, r);
+  out += '}';
+}
+
+void append_flow_event(std::string& out, char ph, std::uint64_t flow_id,
+                       int tid, double ts_us) {
+  out += "{\"name\":\"decode\",\"cat\":\"causal\",\"ph\":\"";
+  out += ph;
+  if (ph == 'f') out += "\",\"bp\":\"e";
+  out += "\",\"id\":" + std::to_string(flow_id) +
+         ",\"pid\":" + std::to_string(kPid) +
+         ",\"tid\":" + std::to_string(tid) + ",\"ts\":" + num(ts_us) + '}';
+}
+
+void append_thread_name(std::string& out, int tid, std::string_view name) {
+  out += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" +
+         std::to_string(kPid) + ",\"tid\":" + std::to_string(tid) +
+         ",\"args\":{\"name\":\"";
+  append_json_escaped(out, name);
+  out += "\"}}";
+}
+
+}  // namespace
+
+void append_json_escaped(std::string& out, std::string_view s) {
   for (const char c : s) {
     switch (c) {
       case '"':
@@ -38,61 +86,6 @@ void append_escaped(std::string& out, std::string_view s) {
     }
   }
 }
-
-std::string num(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6f", v);
-  return buf;
-}
-
-void append_args(std::string& out, const SpanRecord& r) {
-  out += "\"args\":{\"span\":" + std::to_string(r.id) +
-         ",\"parent\":" + std::to_string(r.parent);
-  if (r.ids.txop >= 0) out += ",\"txop\":" + std::to_string(r.ids.txop);
-  if (r.ids.frame >= 0) out += ",\"frame\":" + std::to_string(r.ids.frame);
-  if (r.ids.subframe >= 0) {
-    out += ",\"subframe\":" + std::to_string(r.ids.subframe);
-  }
-  if (r.ids.sta >= 0) out += ",\"sta\":" + std::to_string(r.ids.sta);
-  if (!r.outcome.empty()) {
-    out += ",\"outcome\":\"";
-    append_escaped(out, r.outcome);
-    out += '"';
-  }
-  out += '}';
-}
-
-void append_complete_event(std::string& out, const SpanRecord& r, int tid,
-                           double ts_us, double dur_us) {
-  out += "{\"name\":\"";
-  append_escaped(out, r.name);
-  out += "\",\"ph\":\"X\",\"pid\":" + std::to_string(kPid) +
-         ",\"tid\":" + std::to_string(tid) + ",\"ts\":" + num(ts_us) +
-         ",\"dur\":" + num(dur_us) + ",";
-  append_args(out, r);
-  out += '}';
-}
-
-void append_flow_event(std::string& out, char ph, std::uint64_t flow_id,
-                       int tid, double ts_us) {
-  out += "{\"name\":\"decode\",\"cat\":\"causal\",\"ph\":\"";
-  out += ph;
-  if (ph == 'f') out += "\",\"bp\":\"e";
-  out += "\",\"id\":" + std::to_string(flow_id) +
-         ",\"pid\":" + std::to_string(kPid) +
-         ",\"tid\":" + std::to_string(tid) + ",\"ts\":" + num(ts_us) + '}';
-}
-
-void append_thread_name(std::string& out, int tid, std::string_view name) {
-  out += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" +
-         std::to_string(kPid) + ",\"tid\":" + std::to_string(tid) +
-         ",\"args\":{\"name\":\"";
-  append_escaped(out, name);
-  out += "\"}}";
-}
-
-}  // namespace
 
 std::string ChromeTraceWriter::to_json(
     const std::vector<SpanRecord>& records) {
@@ -175,8 +168,8 @@ std::string ChromeTraceWriter::to_json(
 bool ChromeTraceWriter::write(const std::string& path,
                               const std::vector<SpanRecord>& records) {
   std::ofstream out(path, std::ios::trunc);
-  if (!out) return false;
   out << to_json(records);
+  out.close();  // the final flush can fail too (a full disk)
   return static_cast<bool>(out);
 }
 

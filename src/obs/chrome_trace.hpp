@@ -19,16 +19,22 @@
 // wall-clock root back to the sim-time span that caused it, so clicking
 // a TXOP walks straight into its decode.
 //
-// Span ids, frame-lifecycle coordinates, and outcomes ride along in each
-// event's `args`, so Perfetto's query engine can slice by STA, subframe,
-// or DecodeStatus.
+// Span ids, frame-lifecycle coordinates, outcomes and each record's own
+// args ride along in each event's `args`, so Perfetto's query engine can
+// slice by STA, subframe, DecodeStatus or an instant's payload. Instants
+// (zero-duration records) render as zero-length slices.
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/span.hpp"
 
 namespace carpool::obs {
+
+/// Append `s` to `out` with JSON string escaping (no surrounding quotes).
+/// The one escaper every obs exporter uses.
+void append_json_escaped(std::string& out, std::string_view s);
 
 class ChromeTraceWriter {
  public:

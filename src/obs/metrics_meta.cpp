@@ -159,9 +159,6 @@ constexpr std::array kCatalog{
     // resumed campaign re-collects spans only for its remaining repeats,
     // so drop counts legitimately differ from an uninterrupted run's.
     // The "ops" layer keeps them out of Registry::fingerprint().
-    CatalogEntry{"obs.trace_dropped",
-                 {"count", "ops",
-                  "Trace events dropped at the TraceSink max-event cap"}},
     CatalogEntry{"obs.spans_dropped",
                  {"count", "ops",
                   "Spans dropped at the SpanCollector record cap"}},

@@ -2,7 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <cstdio>
+#include <ostream>
+#include <utility>
 
+#include "obs/chrome_trace.hpp"
 #include "obs/registry.hpp"
 
 namespace carpool::obs {
@@ -50,6 +55,42 @@ void fnv_f64(std::uint64_t& h, double v) noexcept {
 
 }  // namespace
 
+namespace detail {
+
+void append_member(std::string& body, std::string_view key,
+                   std::string_view json) {
+  if (!body.empty()) body += ',';
+  body += json_string(key);
+  body += ':';
+  body += json;
+}
+
+std::string json_number(double v) {
+  if (!std::isfinite(v)) return "null";
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.9g", v);
+  return buf;
+}
+
+std::string json_string(std::string_view v) {
+  std::string out = "\"";
+  append_json_escaped(out, v);
+  return out + '"';
+}
+
+}  // namespace detail
+
+void append_ids(std::string& body, const SpanIds& ids) {
+  const std::pair<const char*, std::int64_t> coordinates[] = {
+      {"txop", ids.txop},
+      {"frame", ids.frame},
+      {"subframe", ids.subframe},
+      {"sta", ids.sta}};
+  for (const auto& [key, v] : coordinates) {
+    if (v >= 0) append_arg(body, key, v);
+  }
+}
+
 SpanCollector::ScopedCurrent::ScopedCurrent(SpanCollector& collector) noexcept
     : previous_(t_current_collector) {
   t_current_collector = &collector;
@@ -59,7 +100,7 @@ SpanCollector::ScopedCurrent::~ScopedCurrent() {
   t_current_collector = previous_;
 }
 
-SpanCollector* SpanCollector::current_impl() noexcept {
+SpanCollector* SpanCollector::current() noexcept {
   return t_current_collector;
 }
 
@@ -122,24 +163,31 @@ std::uint64_t SpanCollector::fingerprint() const {
     // wall_start_ns / wall_ns deliberately excluded: wall clock varies run
     // to run, and the fingerprint must match at any thread count.
     fnv_str(h, r.outcome);
+    fnv_str(h, r.args);
   }
   return h;
 }
 
-void SpanCollector::write_jsonl(TraceSink& sink) const {
+void SpanCollector::write_jsonl(std::ostream& out) const {
   for (const SpanRecord& r : records_) {
-    TraceEvent ev = sink.event("span");
-    ev.f("id", r.id).f("parent", r.parent).f("name", r.name);
-    if (r.ids.txop >= 0) ev.f("txop", r.ids.txop);
-    if (r.ids.frame >= 0) ev.f("frame", r.ids.frame);
-    if (r.ids.subframe >= 0) ev.f("subframe", r.ids.subframe);
-    if (r.ids.sta >= 0) ev.f("sta", r.ids.sta);
+    std::string line;
+    append_arg(line, "type", "span");
+    append_arg(line, "id", r.id);
+    append_arg(line, "parent", r.parent);
+    append_arg(line, "name", r.name);
+    append_ids(line, r.ids);
     if (r.on_sim_timeline()) {
-      ev.f("sim_start", r.sim_start).f("sim_duration", r.sim_duration);
+      append_arg(line, "sim_start", r.sim_start);
+      append_arg(line, "sim_duration", r.sim_duration);
     } else {
-      ev.f("wall_start_ns", r.wall_start_ns).f("wall_ns", r.wall_ns);
+      append_arg(line, "wall_start_ns", r.wall_start_ns);
+      append_arg(line, "wall_ns", r.wall_ns);
     }
-    if (!r.outcome.empty()) ev.f("outcome", r.outcome);
+    if (!r.outcome.empty()) append_arg(line, "outcome", r.outcome);
+    if (!r.args.empty()) {
+      detail::append_member(line, "args", '{' + r.args + '}');
+    }
+    out << '{' << line << "}\n";
   }
 }
 
@@ -162,12 +210,9 @@ Span::Span(std::string_view name) noexcept : collector_(SpanCollector::current()
 Span::~Span() {
   if (collector_ == nullptr) return;
   collector_->pop_open(record_.id);
-  if (has_sim_interval_) {
-    // Sim-time spans stay off the wall clock entirely so fingerprinted
-    // output is reproducible.
-    record_.wall_start_ns = 0;
-    record_.wall_ns = 0;
-  } else {
+  // Sim-time spans stay off the wall clock entirely so fingerprinted
+  // output is reproducible.
+  if (!record_.on_sim_timeline()) {
     record_.wall_start_ns = start_ns_;
     record_.wall_ns = now_ns() - start_ns_;
   }
@@ -178,7 +223,6 @@ Span& Span::sim_interval(double start, double duration) noexcept {
   if (collector_ != nullptr) {
     record_.sim_start = start;
     record_.sim_duration = duration;
-    has_sim_interval_ = true;
   }
   return *this;
 }
@@ -190,6 +234,23 @@ Span& Span::ids(const SpanIds& ids) noexcept {
 
 Span& Span::outcome(std::string_view outcome) {
   if (collector_ != nullptr) record_.outcome = outcome;
+  return *this;
+}
+
+Instant::Instant(std::string_view name, double sim_time) noexcept
+    : collector_(SpanCollector::current()) {
+  if (collector_ == nullptr) return;
+  record_.name = name;
+  record_.sim_start = sim_time;
+  if (!record_.on_sim_timeline()) record_.wall_start_ns = now_ns();
+}
+
+Instant::~Instant() {
+  if (collector_ != nullptr) collector_->emit(std::move(record_));
+}
+
+Instant& Instant::ids(const SpanIds& ids) noexcept {
+  if (collector_ != nullptr) record_.ids = ids;
   return *this;
 }
 

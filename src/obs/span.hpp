@@ -10,15 +10,19 @@
 //       mac.subframe               (one receiver's slice, ACK outcome)
 //     carpool.rx_frame             (a real decode probe, wall time)
 //       carpool.rx_subframe        (per-subframe DecodeStatus)
+//         phy.side_crc             (instant: one CRC group verdict)
 //         fec.viterbi_decode       (leaf: OBS_TIMED_SPAN hot-path site)
 //
-// Spans are collected into the thread's ambient SpanCollector
+// Point events (a backoff draw, a side-channel CRC verdict, an RTE
+// freeze) are Instant records: zero-duration SpanRecords in the same
+// stream, parented to the innermost open span, with their fields in
+// SpanRecord::args.
+//
+// Records are collected into the thread's ambient SpanCollector
 // (SpanCollector::current(), installed RAII-style like
 // obs::Registry::ScopedCurrent). Instrumentation sites construct a Span
-// unconditionally; when no collector is installed — or the binary was
-// built with CARPOOL_ENABLE_TRACE=OFF, which makes current() a
-// compile-time nullptr — every operation is a no-op the optimizer
-// removes, so the default build pays nothing.
+// or Instant unconditionally; when no collector is installed every
+// operation after the thread-local lookup is a no-op.
 //
 // Determinism contract (docs/PARALLELISM.md): span ids are allocated
 // per-collector starting at 1, the parallel sweep engine gives each
@@ -26,20 +30,20 @@
 // appending records in job-index order — so the merged record sequence
 // is bit-identical to a serial run at any thread count. Wall-clock
 // fields (wall_start_ns / wall_ns) are excluded from fingerprint(); the
-// sim-time fields, ids, names, and outcomes are all deterministic.
+// sim-time fields, ids, names, outcomes and args are all deterministic.
 //
 // Exporters: write_jsonl() streams one `"type":"span"` object per line
-// into the existing TraceSink, and obs::ChromeTraceWriter
+// (tools/trace_convert reads it back), and obs::ChromeTraceWriter
 // (chrome_trace.hpp) converts records into a Chrome trace-event file
 // that opens directly in Perfetto / chrome://tracing.
 
 #include <algorithm>
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
-
-#include "obs/trace.hpp"
 
 namespace carpool::obs {
 
@@ -50,6 +54,33 @@ struct SpanIds {
   std::int64_t subframe = -1;  ///< subframe index within the frame
   std::int64_t sta = -1;       ///< receiver STA (0 = AP)
 };
+
+namespace detail {
+/// Append `"key":json` to a JSON object body, comma-separated.
+void append_member(std::string& body, std::string_view key,
+                   std::string_view json);
+std::string json_number(double v);  ///< `%.9g`; `null` when not finite
+std::string json_string(std::string_view v);  ///< quoted and escaped
+}  // namespace detail
+
+/// Append one `"key":value` member to a JSON object body such as
+/// SpanRecord::args, rendered as its JSON type (integer, double, bool or
+/// string).
+template <typename T>
+void append_arg(std::string& body, std::string_view key, const T& value) {
+  if constexpr (std::is_same_v<T, bool>) {
+    detail::append_member(body, key, value ? "true" : "false");
+  } else if constexpr (std::is_integral_v<T>) {
+    detail::append_member(body, key, std::to_string(value));
+  } else if constexpr (std::is_floating_point_v<T>) {
+    detail::append_member(body, key, detail::json_number(value));
+  } else {
+    detail::append_member(body, key, detail::json_string(value));
+  }
+}
+
+/// Append the non-negative coordinates of `ids` as members.
+void append_ids(std::string& body, const SpanIds& ids);
 
 /// One completed span. Either a sim-time interval (sim_start >= 0,
 /// seconds on the simulated timeline) or a wall-time leaf
@@ -66,6 +97,10 @@ struct SpanRecord {
   std::uint64_t wall_start_ns = 0;
   std::uint64_t wall_ns = 0;
   std::string outcome;  ///< "" | "ok" | "collision" | DecodeStatus name...
+  /// Fields beyond the fixed ones, as rendered JSON object members
+  /// (`"cw":15,"counter":4`); "" for none. Instants carry their payload
+  /// here, and a few spans carry extra counts.
+  std::string args;
 
   [[nodiscard]] bool on_sim_timeline() const noexcept {
     return sim_start >= 0.0;
@@ -90,16 +125,8 @@ class SpanCollector {
   static constexpr std::size_t kDefaultMaxRecords = 1u << 20;
 
   /// The collector instrumentation writes to on this thread, or nullptr
-  /// when none is installed. With CARPOOL_ENABLE_TRACE=OFF this is a
-  /// compile-time nullptr, which is what deletes every span call site
-  /// from the default build.
-  [[nodiscard]] static SpanCollector* current() noexcept {
-#if CARPOOL_TRACE_ENABLED
-    return current_impl();
-#else
-    return nullptr;
-#endif
-  }
+  /// when none is installed.
+  [[nodiscard]] static SpanCollector* current() noexcept;
 
   /// RAII thread-local install, mirroring Registry::ScopedCurrent.
   class ScopedCurrent {
@@ -150,20 +177,20 @@ class SpanCollector {
 
   /// Order-stable FNV-1a digest over the deterministic span surface:
   /// record order, ids, parents, names, frame-lifecycle coordinates,
-  /// sim intervals, and outcomes. Wall-clock fields are excluded — two
+  /// sim intervals, outcomes, and args. Wall-clock fields are excluded — two
   /// runs of a deterministic workload must produce equal fingerprints
   /// at any thread count.
   [[nodiscard]] std::uint64_t fingerprint() const;
 
-  /// Stream every record into `sink` as one `"type":"span"` JSONL
-  /// object per line (schema in docs/OBSERVABILITY.md).
-  void write_jsonl(TraceSink& sink) const;
+  /// Write every record to `out` as one `"type":"span"` JSONL object per
+  /// line (schema in docs/OBSERVABILITY.md). Failures surface in the
+  /// stream's state; check a file stream after close().
+  void write_jsonl(std::ostream& out) const;
 
   void clear();
 
  private:
   friend class Span;
-  [[nodiscard]] static SpanCollector* current_impl() noexcept;
 
   std::uint64_t alloc_id() noexcept { return ++allocated_; }
   void push_open(std::uint64_t id) { stack_.push_back(id); }
@@ -178,8 +205,8 @@ class SpanCollector {
 
 /// RAII span: opens against the ambient collector on construction
 /// (parenting itself to the innermost open span on this thread) and
-/// appends its record on destruction. When no collector is installed —
-/// or tracing is compiled out — construction is a no-op.
+/// appends its record on destruction. When no collector is installed,
+/// construction is a no-op.
 class Span {
  public:
   explicit Span(std::string_view name) noexcept;
@@ -192,8 +219,14 @@ class Span {
   Span& sim_interval(double start, double duration) noexcept;
   Span& ids(const SpanIds& ids) noexcept;
   Span& outcome(std::string_view outcome);
+  /// Attach one SpanRecord::args field (integer, double, bool or string).
+  template <typename T>
+  Span& arg(std::string_view key, const T& value) {
+    if (collector_ != nullptr) append_arg(record_.args, key, value);
+    return *this;
+  }
 
-  /// 0 when inactive (no collector / tracing off).
+  /// 0 when inactive (no collector installed).
   [[nodiscard]] std::uint64_t id() const noexcept {
     return collector_ == nullptr ? 0 : record_.id;
   }
@@ -203,7 +236,32 @@ class Span {
   SpanCollector* collector_;  ///< null = inert span
   SpanRecord record_;
   std::uint64_t start_ns_ = 0;
-  bool has_sim_interval_ = false;
+};
+
+/// A point event: a zero-duration record emitted into the ambient
+/// collector when the statement ends, parented to the innermost open
+/// span. `Instant(name, t)` sits on the simulated timeline at `t >= 0`
+/// (MAC events); `Instant(name)` is a wall leaf stamped now (PHY
+/// events). Inert, like Span, when no collector is installed:
+///
+///   obs::Instant("mac.backoff_draw", now).ids({.sta = node}).arg("cw", cw);
+class Instant {
+ public:
+  explicit Instant(std::string_view name, double sim_time = -1.0) noexcept;
+  Instant(const Instant&) = delete;
+  Instant& operator=(const Instant&) = delete;
+  ~Instant();
+
+  Instant& ids(const SpanIds& ids) noexcept;
+  template <typename T>
+  Instant& arg(std::string_view key, const T& value) {
+    if (collector_ != nullptr) append_arg(record_.args, key, value);
+    return *this;
+  }
+
+ private:
+  SpanCollector* collector_;  ///< null = inert
+  SpanRecord record_;
 };
 
 }  // namespace carpool::obs

@@ -64,12 +64,12 @@ class ScopedTimer {
 #endif
 
 /// Scoped timer plus a leaf span: the stage's wall time lands in its
-/// latency histogram as before, and — when tracing is compiled in and a
-/// SpanCollector is installed — the same interval attaches to the
-/// innermost open span (e.g. fec.viterbi_decode under carpool.rx_subframe)
-/// so per-stage time is visible inside one frame's Perfetto timeline, not
-/// just as an aggregate histogram. With tracing off the Span half costs
-/// one null check the optimizer deletes.
+/// latency histogram as before, and — when a SpanCollector is installed —
+/// the same interval attaches to the innermost open span (e.g.
+/// fec.viterbi_decode under carpool.rx_subframe) so per-stage time is
+/// visible inside one frame's Perfetto timeline, not just as an aggregate
+/// histogram. With no collector the Span half costs one thread-local
+/// lookup and a null check.
 #define OBS_TIMED_SPAN(name)       \
   OBS_SCOPED_TIMER(name);          \
   const ::carpool::obs::Span OBS_CONCAT(obs_timed_span_, __LINE__)(name)

@@ -1,9 +1,10 @@
 # Runs a CLI binary with a "|"-separated argument list and asserts the
-# exit code. Driven by the SoakCli.* / BenchCli.* ctest cases in
-# CMakeLists.txt:
+# exit code. Driven by the SoakCli.* / BenchCli.* / ToolCli.* ctest cases
+# in CMakeLists.txt:
 #   cmake -DBIN=<path> "-DARGS=--frames|12x" -DEXPECT=2 -P cli_test.cmake
 # "|" keeps empty arguments intact ("--fuzz-rounds" followed by "") where
-# a ;-list would drop them.
+# a ;-list would drop them. An exit-2 case is a usage error unless
+# -DSTDERR=<regex> names the runtime failure its stderr must report.
 
 if(NOT DEFINED BIN OR NOT DEFINED EXPECT)
   message(FATAL_ERROR "cli_test.cmake needs -DBIN=... and -DEXPECT=...")
@@ -26,8 +27,13 @@ if(NOT code EQUAL ${EXPECT})
     "${name} ${ARGS}: exit ${code}, want ${EXPECT}\nstdout:\n${out}\nstderr:\n${err}")
 endif()
 
+if(DEFINED STDERR)
+  if(NOT err MATCHES "${STDERR}")
+    message(FATAL_ERROR
+      "${name} ${ARGS}: stderr does not match '${STDERR}'\nstderr:\n${err}")
+  endif()
 # Every usage error must actually print the usage block.
-if(EXPECT EQUAL 2 AND NOT err MATCHES "usage: ${name}")
+elseif(EXPECT EQUAL 2 AND NOT err MATCHES "usage: ${name}")
   message(FATAL_ERROR
     "${name} ${ARGS}: exit 2 without a usage message\nstderr:\n${err}")
 endif()

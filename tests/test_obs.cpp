@@ -6,16 +6,9 @@
 #include <thread>
 #include <vector>
 
-#include "carpool/transceiver.hpp"
-#include "channel/fading.hpp"
-#include "common/rng.hpp"
-#include "mac/simulator.hpp"
 #include "obs/registry.hpp"
 #include "obs/stats_writer.hpp"
 #include "obs/timer.hpp"
-#include "obs/trace.hpp"
-#include "phy/frame.hpp"
-#include "traffic/generators.hpp"
 
 namespace carpool {
 namespace {
@@ -59,11 +52,6 @@ bool json_balanced(std::string_view text) {
     if (braces < 0 || brackets < 0) return false;
   }
   return braces == 0 && brackets == 0 && !in_string;
-}
-
-bool valid_jsonl_object(std::string_view line) {
-  return !line.empty() && line.front() == '{' && line.back() == '}' &&
-         json_balanced(line);
 }
 
 std::vector<std::string> split_lines(const std::string& text) {
@@ -268,117 +256,6 @@ TEST(Registry, WriteJsonToFile) {
   EXPECT_NE(buf.str().find("\"file.count\": 5"), std::string::npos);
 }
 
-TEST(TraceSink, MemorySinkWritesValidJsonl) {
-  obs::TraceSink sink;
-  sink.event("alpha").f("t", 1.5).f("n", std::uint64_t{3}).f("ok", true);
-  sink.event("beta").f("s", "quote\"and\\slash").f("neg", -2);
-  EXPECT_EQ(sink.events_written(), 2u);
-  const auto lines = split_lines(sink.str());
-  ASSERT_EQ(lines.size(), 2u);
-  for (const auto& line : lines) {
-    EXPECT_TRUE(valid_jsonl_object(line)) << line;
-  }
-  EXPECT_NE(lines[0].find("\"type\":\"alpha\""), std::string::npos);
-  EXPECT_NE(lines[1].find("\\\"and\\\\slash"), std::string::npos);
-}
-
-TEST(TraceSink, FileSinkRoundTrip) {
-  const std::string path = testing::TempDir() + "obs_trace.jsonl";
-  {
-    obs::TraceSink sink(path);
-    sink.event("one").f("i", 1);
-    sink.event("two").f("i", 2);
-    sink.flush();
-  }
-  std::ifstream in(path);
-  std::string line;
-  std::size_t n = 0;
-  while (std::getline(in, line)) {
-    EXPECT_TRUE(valid_jsonl_object(line)) << line;
-    ++n;
-  }
-  EXPECT_EQ(n, 2u);
-}
-
-TEST(TraceSink, AppendModeAccumulatesAcrossOpens) {
-  const std::string path = testing::TempDir() + "obs_trace_append.jsonl";
-  {
-    obs::TraceSink sink(path);  // default: truncate
-    sink.event("first").f("i", 1);
-  }
-  {
-    obs::TraceSink::Options options;
-    options.append = true;
-    obs::TraceSink sink(path, options);
-    sink.event("second").f("i", 2);
-  }
-  std::ifstream in(path);
-  std::string line;
-  std::vector<std::string> lines;
-  while (std::getline(in, line)) lines.push_back(line);
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_NE(lines[0].find("\"type\":\"first\""), std::string::npos);
-  EXPECT_NE(lines[1].find("\"type\":\"second\""), std::string::npos);
-  // Re-opening without append truncates again.
-  {
-    obs::TraceSink sink(path);
-    sink.event("third").f("i", 3);
-  }
-  std::ifstream again(path);
-  lines.clear();
-  while (std::getline(again, line)) lines.push_back(line);
-  ASSERT_EQ(lines.size(), 1u);
-  EXPECT_NE(lines[0].find("\"type\":\"third\""), std::string::npos);
-}
-
-TEST(TraceSink, MaxEventsCapDropsAndCounts) {
-  obs::Registry reg;
-  const obs::Registry::ScopedCurrent scope(reg);
-  obs::TraceSink::Options options;
-  options.max_events = 2;
-  obs::TraceSink sink(options);
-  for (int i = 0; i < 5; ++i) sink.event("e").f("i", i);
-  EXPECT_EQ(sink.events_written(), 2u);
-  EXPECT_EQ(sink.dropped(), 3u);
-  EXPECT_EQ(reg.counter_value("obs.trace_dropped"), 3u);
-  const auto lines = split_lines(sink.str());
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_NE(lines[1].find("\"i\":1"), std::string::npos);
-}
-
-TEST(TraceSink, ConcurrentWritersProduceIntactLines) {
-  obs::TraceSink sink;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&sink, t] {
-      for (int i = 0; i < 500; ++i) {
-        sink.event("thread").f("t", t).f("i", i);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  const auto lines = split_lines(sink.str());
-  EXPECT_EQ(lines.size(), 2000u);
-  for (const auto& line : lines) {
-    ASSERT_TRUE(valid_jsonl_object(line)) << line;
-  }
-}
-
-TEST(TraceGate, MacroMatchesCompileTimeFlag) {
-  obs::TraceSink sink;
-  obs::TraceSink* maybe = &sink;
-  OBS_TRACE(maybe, obs_ts.event("gated").f("x", 1));
-  if (obs::trace_compiled_in()) {
-    EXPECT_EQ(sink.events_written(), 1u);
-  } else {
-    // Gate off: the call site compiles to nothing and emits nothing.
-    EXPECT_EQ(sink.events_written(), 0u);
-    EXPECT_TRUE(sink.str().empty());
-  }
-  obs::TraceSink* null_sink = nullptr;
-  OBS_TRACE(null_sink, obs_ts.event("never").f("x", 0));  // must not crash
-}
-
 void timed_helper() { OBS_SCOPED_TIMER("obs_test.helper"); }
 
 TEST(Profiling, ScopedTimerFeedsGlobalRegistry) {
@@ -393,96 +270,6 @@ TEST(Profiling, ScopedTimerFeedsGlobalRegistry) {
     EXPECT_EQ(h.count(), before);
   }
 }
-
-#if CARPOOL_TRACE_ENABLED
-
-/// Acceptance scenario: a 20-STA Carpool simulator run plus one PHY-layer
-/// decode share a sink; the JSONL must parse and carry tx/ACK/collision
-/// and side-channel CRC events (docs/OBSERVABILITY.md schema).
-TEST(TraceIntegration, CarpoolRunEmitsParseableTrace) {
-  obs::TraceSink sink;
-
-  mac::SimConfig cfg;
-  cfg.scheme = mac::Scheme::kCarpool;
-  cfg.num_stas = 20;
-  cfg.duration = 5.0;
-  cfg.seed = 7;
-  cfg.trace = &sink;
-  mac::Simulator sim(cfg);
-  for (mac::NodeId sta = 1; sta <= 20; ++sta) {
-    for (auto& flow :
-         traffic::make_voip_call(sta, traffic::VoipParams::near_peak())) {
-      sim.add_flow(std::move(flow));
-    }
-  }
-  const mac::SimResult result = sim.run();
-  EXPECT_GT(result.dl_frames_delivered, 0u);
-  EXPECT_GT(result.collisions, 0u);
-
-  // PHY leg: decode one Carpool frame with the same sink attached.
-  Rng rng(3);
-  Bytes psdu(400);
-  for (auto& b : psdu) b = static_cast<std::uint8_t>(rng.uniform_int(256));
-  const std::vector<SubframeSpec> subframes{
-      SubframeSpec{MacAddress::for_station(1), append_fcs(psdu), 4}};
-  const CarpoolTransmitter tx;
-  FadingConfig ch;
-  ch.snr_db = 30.0;
-  ch.seed = 11;
-  FadingChannel channel(ch);
-  CarpoolRxConfig rxcfg;
-  rxcfg.self = MacAddress::for_station(1);
-  rxcfg.trace = &sink;
-  const CarpoolReceiver rx(rxcfg);
-  const CarpoolRxResult phy = rx.receive(channel.transmit(tx.build(subframes)));
-  ASSERT_FALSE(phy.subframes.empty());
-
-  const auto lines = split_lines(sink.str());
-  ASSERT_GT(lines.size(), 100u);
-  bool saw_tx = false, saw_ack = false, saw_collision = false;
-  bool saw_side_crc = false, saw_backoff = false, saw_symbol = false;
-  for (const auto& line : lines) {
-    ASSERT_TRUE(valid_jsonl_object(line)) << line;
-    saw_tx = saw_tx || line.find("\"type\":\"mac.tx_start\"") != std::string::npos;
-    saw_ack = saw_ack || line.find("\"type\":\"mac.ack\"") != std::string::npos;
-    saw_collision =
-        saw_collision || line.find("\"type\":\"mac.collision\"") != std::string::npos;
-    saw_side_crc =
-        saw_side_crc || line.find("\"type\":\"phy.side_crc\"") != std::string::npos;
-    saw_backoff =
-        saw_backoff || line.find("\"type\":\"mac.backoff_draw\"") != std::string::npos;
-    saw_symbol =
-        saw_symbol || line.find("\"type\":\"phy.symbol\"") != std::string::npos;
-  }
-  EXPECT_TRUE(saw_tx);
-  EXPECT_TRUE(saw_ack);
-  EXPECT_TRUE(saw_collision);
-  EXPECT_TRUE(saw_side_crc);
-  EXPECT_TRUE(saw_backoff);
-  EXPECT_TRUE(saw_symbol);
-}
-
-#else
-
-TEST(TraceIntegration, SimulatorWithSinkEmitsNothingWhenGateOff) {
-  obs::TraceSink sink;
-  mac::SimConfig cfg;
-  cfg.scheme = mac::Scheme::kCarpool;
-  cfg.num_stas = 5;
-  cfg.duration = 1.0;
-  cfg.trace = &sink;
-  mac::Simulator sim(cfg);
-  for (mac::NodeId sta = 1; sta <= 5; ++sta) {
-    for (auto& flow : traffic::make_voip_call(sta)) {
-      sim.add_flow(std::move(flow));
-    }
-  }
-  const mac::SimResult result = sim.run();
-  EXPECT_GT(result.dl_frames_delivered, 0u);
-  EXPECT_EQ(sink.events_written(), 0u);
-}
-
-#endif  // CARPOOL_TRACE_ENABLED
 
 }  // namespace
 }  // namespace carpool

@@ -27,9 +27,9 @@
 // frame -> subframe -> decode; docs/OBSERVABILITY.md) as a Chrome
 // trace-event file loadable in https://ui.perfetto.dev or
 // chrome://tracing. --span-jsonl PATH writes the same spans as JSONL
-// (convertible later with tools/trace_convert). Both need a build with
-// CARPOOL_ENABLE_TRACE=ON; otherwise a warning is printed and the file
-// holds no spans.
+// (convertible later with tools/trace_convert). Both carry the instant
+// records (backoff draws, CRC verdicts, ...) too. A file that cannot be
+// written fully exits 2.
 //
 // --threads N shards timeline repeats across N workers (0 = auto, one
 // per hardware thread; default honours CARPOOL_THREADS, else serial).
@@ -76,7 +76,6 @@
 #include "obs/chrome_trace.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
-#include "obs/trace.hpp"
 #include "par/par.hpp"
 
 namespace {
@@ -174,30 +173,30 @@ double parse_seconds(const char* flag, const char* text) {
 bool export_spans(const carpool::obs::SpanCollector& spans,
                   const std::string& chrome_path,
                   const std::string& jsonl_path) {
-  bool ok = true;
-  if (!chrome_path.empty()) {
-    if (carpool::obs::ChromeTraceWriter::write(chrome_path,
-                                               spans.records())) {
-      std::printf("chrome trace: %s (%zu spans)\n", chrome_path.c_str(),
-                  spans.records().size());
-    } else {
-      std::fprintf(stderr, "soak: cannot write %s\n", chrome_path.c_str());
-      ok = false;
+  const auto export_to = [&spans](const std::string& path, const char* label,
+                                  const auto& write) {
+    if (path.empty()) return true;
+    // The stream's state after close() covers the open, every write and
+    // the final flush (a full disk may fail only there).
+    std::ofstream out(path, std::ios::trunc);
+    write(out);
+    out.close();
+    if (!out) {
+      std::fprintf(stderr, "soak: cannot write %s\n", path.c_str());
+      return false;
     }
-  }
-  if (!jsonl_path.empty()) {
-    try {
-      carpool::obs::TraceSink sink(jsonl_path);
-      spans.write_jsonl(sink);
-      sink.flush();
-      std::printf("span jsonl: %s (%zu spans)\n", jsonl_path.c_str(),
-                  spans.records().size());
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "soak: %s\n", e.what());
-      ok = false;
-    }
-  }
-  return ok;
+    std::printf("%s: %s (%zu spans)\n", label, path.c_str(),
+                spans.records().size());
+    return true;
+  };
+  const bool chrome_ok =
+      export_to(chrome_path, "chrome trace", [&spans](std::ostream& out) {
+        out << carpool::obs::ChromeTraceWriter::to_json(spans.records());
+      });
+  const bool jsonl_ok = export_to(
+      jsonl_path, "span jsonl",
+      [&spans](std::ostream& out) { spans.write_jsonl(out); });
+  return chrome_ok && jsonl_ok;
 }
 
 bool read_file(const std::string& path, std::string& out) {
@@ -492,12 +491,6 @@ int main(int argc, char** argv) {
   // installed for the whole run and exported at exit.
   const bool want_spans =
       !chrome_trace_path.empty() || !span_jsonl_path.empty();
-  if (want_spans && !obs::trace_compiled_in()) {
-    std::fprintf(stderr,
-                 "soak: warning: built with CARPOOL_ENABLE_TRACE=OFF; "
-                 "span collection is compiled out and the trace will be "
-                 "empty\n");
-  }
   obs::SpanCollector span_collector;
   std::optional<obs::SpanCollector::ScopedCurrent> span_scope;
   if (want_spans) span_scope.emplace(span_collector);
