@@ -360,8 +360,8 @@ void ablate_link_policy_bursts() {
 
 int main(int argc, char** argv) {
   g_threads = par::resolve_threads();  // CARPOOL_THREADS or serial
-  bench::parse_flags(argc, argv,
-                     {bench::threads_flag(g_threads), bench::kernel_flag()});
+  cli::parse_flags(argc, argv,
+                   {cli::threads_flag(g_threads), cli::kernel_flag()});
   ablate_rte_alpha();
   ablate_evm_gate();
   ablate_bloom_hashes();

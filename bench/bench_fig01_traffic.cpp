@@ -11,7 +11,7 @@ using namespace carpool;
 using namespace carpool::traffic;
 
 int main(int argc, char** argv) {
-  bench::parse_flags(argc, argv, {bench::kernel_flag()});
+  cli::parse_flags(argc, argv, {cli::kernel_flag()});
   bench::banner("Fig. 1(a)", "concurrent downlink requests (active STAs/AP)",
                 "library trace fluctuates ~2-14 with mean 7.63 active STAs");
   TraceSynthConfig cfg;

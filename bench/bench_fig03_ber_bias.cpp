@@ -13,7 +13,7 @@
 using namespace carpool;
 
 int main(int argc, char** argv) {
-  bench::parse_flags(argc, argv, {bench::kernel_flag()});
+  cli::parse_flags(argc, argv, {cli::kernel_flag()});
   bench::banner("Fig. 3", "BER bias vs symbol index (QAM64, 4 KB frames)",
                 "per-symbol BER grows ~5x from frame head to symbol ~110");
 

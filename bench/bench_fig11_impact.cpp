@@ -46,7 +46,7 @@ double link_ber(Modulation mod, double power_magnitude, bool inject,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::parse_flags(argc, argv, {bench::kernel_flag()});
+  cli::parse_flags(argc, argv, {cli::kernel_flag()});
   bench::banner("Fig. 11", "BER of PHY with phase offset side channel vs "
                            "standard PHY",
                 "curves for the two PHYs nearly coincide at every "

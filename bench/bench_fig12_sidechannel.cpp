@@ -53,7 +53,7 @@ BerPair measure(PhaseMod side_mod, Modulation data_mod,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::parse_flags(argc, argv, {bench::kernel_flag()});
+  cli::parse_flags(argc, argv, {cli::kernel_flag()});
   bench::banner("Fig. 12", "BER of phase offset side channel vs data channel",
                 "1-bit side channel < BPSK data BER; 2-bit side channel "
                 "well below QPSK data BER");

@@ -45,7 +45,7 @@ double ber_for(Modulation mod, double power, bool rte) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::parse_flags(argc, argv, {bench::kernel_flag()});
+  cli::parse_flags(argc, argv, {cli::kernel_flag()});
   bench::banner("Fig. 14", "BER of RTE vs standard per modulation",
                 "large RTE gains for QAM16/QAM64, marginal for BPSK/QPSK");
 

@@ -22,7 +22,7 @@ using namespace carpool;
 using namespace carpool::mac;
 
 int main(int argc, char** argv) {
-  bench::parse_flags(argc, argv, {bench::kernel_flag()});
+  cli::parse_flags(argc, argv, {cli::kernel_flag()});
   std::printf("Fig. 15 — VoIP goodput/latency vs number of STAs\n");
   const Scheme schemes[] = {Scheme::kCarpool, Scheme::kMuAggregation,
                             Scheme::kAmpdu, Scheme::kDcf80211,

@@ -330,11 +330,10 @@ int kernel_throughput_report() {
 int main(int argc, char** argv) {
   // Peel off the carpool flags; --benchmark_* goes on to google-benchmark.
   bool kernel_info = false;
-  argc = carpool::bench::parse_flags(
+  argc = carpool::cli::parse_flags(
       argc, argv,
-      {carpool::bench::kernel_flag(),
-       {"--kernel-info", nullptr,
-        [&kernel_info](const char*) { return kernel_info = true; }}},
+      {carpool::cli::kernel_flag(),
+       carpool::cli::switch_flag("--kernel-info", kernel_info)},
       "--benchmark_");
   if (kernel_info) {
     std::printf("%s\n", carpool::dsp::kernel_info().c_str());

@@ -44,7 +44,8 @@ sim::MobilityPath make_walker(const sim::Topology& topo) {
 
 int run(int argc, char** argv) {
   std::size_t threads = par::resolve_threads();  // CARPOOL_THREADS or 1
-  parse_flags(argc, argv, {threads_flag(threads), kernel_flag()});
+  cli::parse_flags(argc, argv,
+                   {cli::threads_flag(threads), cli::kernel_flag()});
   banner("Multi-BSS", "aggregate goodput vs AP count",
          "not in the paper — city-scale extrapolation; MPR scaling shape "
          "per arXiv:1006.4408 (throughput grows with parallel receivers)");

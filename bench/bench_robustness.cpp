@@ -75,7 +75,8 @@ impair::ImpairmentChain make_chain(const Intensity& level,
 
 int run(int argc, char** argv) {
   g_threads = par::resolve_threads();  // CARPOOL_THREADS or serial
-  parse_flags(argc, argv, {threads_flag(g_threads), kernel_flag()});
+  cli::parse_flags(argc, argv,
+                   {cli::threads_flag(g_threads), cli::kernel_flag()});
   banner("Robustness", "goodput vs impairment intensity",
          "not in the paper — graceful-degradation acceptance sweep for the "
          "fault-injection harness (docs/ROBUSTNESS.md)");

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 
+#include "common/cli.hpp"
 #include "mac/simulator.hpp"
 #include "traffic/generators.hpp"
 
@@ -42,7 +43,8 @@ SimResult run(Scheme scheme, std::size_t stas) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  cli::parse_flags(argc, argv, {});
   constexpr std::size_t kStas = 32;
   std::printf("Coffee shop: 1 AP, %zu stations, VoIP + web traffic, 10 s\n\n",
               kStas);

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <memory>
 
+#include "common/cli.hpp"
 #include "mac/simulator.hpp"
 #include "sim/phy_trace.hpp"
 #include "sim/testbed.hpp"
@@ -16,7 +17,8 @@
 using namespace carpool;
 using namespace carpool::mac;
 
-int main() {
+int main(int argc, char** argv) {
+  cli::parse_flags(argc, argv, {});
   // 1. Characterize the venue (Fig. 1 statistics).
   traffic::TraceSynthConfig trace_cfg;
   trace_cfg.downlink_ratio = 0.834;  // SIGCOMM'08

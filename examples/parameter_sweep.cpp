@@ -23,7 +23,7 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.hpp"
+#include "common/cli.hpp"
 #include "mac/simulator.hpp"
 #include "par/par.hpp"
 #include "traffic/generators.hpp"
@@ -197,24 +197,18 @@ void sweep_link_policy(std::FILE* out) {
 
 int main(int argc, char** argv) {
   bool link_policy = false;
-  const char* path = nullptr;
+  std::string path;
   g_threads = carpool::par::resolve_threads();  // CARPOOL_THREADS or 1
-  carpool::bench::parse_flags(
-      argc, argv,
-      {{"--link-policy", nullptr,
-        [&link_policy](const char*) { return link_policy = true; }},
-       carpool::bench::threads_flag(g_threads),
-       carpool::bench::kernel_flag(),
-       {"OUT", nullptr, [&path](const char* text) {
-          path = text;
-          return true;
-        }}});
+  cli::parse_flags(argc, argv,
+                   {cli::switch_flag("--link-policy", link_policy),
+                    cli::threads_flag(g_threads), cli::kernel_flag(),
+                    cli::positional("OUT", path, /*required=*/false)});
 
   std::FILE* out = stdout;
-  if (path != nullptr) {
-    out = std::fopen(path, "w");
+  if (!path.empty()) {
+    out = std::fopen(path.c_str(), "w");
     if (out == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", path);
+      std::fprintf(stderr, "cannot open %s\n", path.c_str());
       return 1;
     }
   }

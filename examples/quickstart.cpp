@@ -10,11 +10,13 @@
 
 #include "carpool/transceiver.hpp"
 #include "channel/fading.hpp"
+#include "common/cli.hpp"
 #include "common/rng.hpp"
 
 using namespace carpool;
 
-int main() {
+int main(int argc, char** argv) {
+  cli::parse_flags(argc, argv, {});
   // 1. Three stations, each with its own payload and MCS.
   const std::string messages[3] = {
       "Hello STA A — this rode in subframe 0",

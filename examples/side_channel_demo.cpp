@@ -11,11 +11,13 @@
 
 #include "carpool/transceiver.hpp"
 #include "channel/fading.hpp"
+#include "common/cli.hpp"
 #include "common/rng.hpp"
 
 using namespace carpool;
 
-int main() {
+int main(int argc, char** argv) {
+  cli::parse_flags(argc, argv, {});
   Rng rng(99);
   Bytes payload(4000);
   for (auto& b : payload) b = static_cast<std::uint8_t>(rng.uniform_int(256));

@@ -14,7 +14,7 @@
 #include <unistd.h>
 #endif
 
-#include "chaos/json.hpp"
+#include "common/json.hpp"
 #include "obs/span.hpp"
 
 namespace carpool::chaos {

@@ -14,7 +14,7 @@
 #include <utility>
 
 #include "chaos/checkpoint.hpp"
-#include "chaos/json.hpp"
+#include "common/json.hpp"
 #include "chaos/shrink.hpp"
 #include "par/par.hpp"
 #include "sim/testbed.hpp"

@@ -12,7 +12,6 @@
 #include "chaos/checkpoint.hpp"
 #include "channel/shadowing.hpp"
 #include "impair/impair.hpp"
-#include "mac/domain_sim.hpp"
 #include "mac/simulator.hpp"
 #include "obs/registry.hpp"
 #include "par/par.hpp"
@@ -569,7 +568,7 @@ RepeatOutcome run_one_repeat(const Scenario& s,
         return true;
       };
 
-      mac::DomainSim sim(cfg, static_cast<std::uint32_t>(d));
+      mac::Simulator sim(cfg);
       if (topo == nullptr) {
         for (mac::FlowSpec& f : build_flows(ep, s)) {
           sim.add_flow(std::move(f));
@@ -784,16 +783,8 @@ SoakReport SoakRunner::run(const Scenario& scenario) const {
         .add(topo->timeline.handovers().size());
     reg.set_gauge("sim.bss_ap_count",
                   static_cast<double>(topo->topo.ap_count()));
-    std::size_t cochannel_pairs = 0;
-    for (std::size_t a = 0; a < topo->topo.ap_count(); ++a) {
-      for (std::size_t b = a + 1; b < topo->topo.ap_count(); ++b) {
-        if (topo->topo.channel_of(a) == topo->topo.channel_of(b)) {
-          ++cochannel_pairs;
-        }
-      }
-    }
     reg.set_gauge("sim.bss_cochannel_pairs",
-                  static_cast<double>(cochannel_pairs));
+                  static_cast<double>(topo->topo.cochannel_pairs()));
   }
 
   ctx->episodes = segment_timeline(

@@ -16,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "chaos/json.hpp"
+#include "common/json.hpp"
 #include "chaos/snr_trace.hpp"
 #include "mac/link_state.hpp"
 #include "mac/scheme.hpp"

@@ -5,7 +5,7 @@
 #include <charconv>
 #include <cmath>
 
-#include "chaos/json.hpp"
+#include "common/json.hpp"
 
 namespace carpool::chaos {
 namespace {

@@ -11,6 +11,21 @@
 // next transmission instant is computed directly from the minimum backoff
 // counter, which is exact for an ideal slotted DCF and avoids per-slot
 // events.
+//
+// One Simulator is one collision domain. A multi-BSS topology
+// (sim::Topology + sim::MultiBssSim, the soak engine's campus scenarios)
+// runs one Simulator per (epoch, AP) cell, each with its own backoff
+// state, arrival queue, link-state machine and obs scope, and shards
+// whole domains across carpool::par with an index-ordered merge
+// (docs/MULTI_AP.md).
+//
+// Determinism contract: a run is a pure function of (SimConfig, flows).
+// All randomness comes from streams split off config.seed in a fixed
+// order (traffic=1, phy=2, backoff=3, topology=4), so two Simulators with
+// identical configs produce identical SimResults and identical
+// instrumentation — the property the 2-BSS regression anchor and the
+// serial-vs-parallel fingerprint canary pin. Seed derivation for
+// multi-domain campaigns happens in the caller.
 
 #include <functional>
 #include <memory>
@@ -194,13 +209,12 @@ class Simulator {
   /// Add a traffic flow (downlink if src == kApNode, else uplink).
   void add_flow(FlowSpec flow);
 
-  /// Run to config.duration and return aggregate metrics.
+  /// Run to config.duration and return aggregate metrics. All other
+  /// mutable state is local to the call; the flows' generators carry
+  /// their own.
   SimResult run();
 
  private:
-  struct Contender;
-  struct PendingArrival;
-
   SimConfig config_;
   std::vector<FlowSpec> flows_;
 };

@@ -173,4 +173,40 @@ bool ChromeTraceWriter::write(const std::string& path,
   return static_cast<bool>(out);
 }
 
+bool export_spans(const SpanCollector& spans, const std::string& chrome_path,
+                  const std::string& jsonl_path) {
+  const auto export_to = [&spans](const std::string& path, const char* label,
+                                  const auto& write) {
+    if (path.empty()) return true;
+    // The stream's state after close() covers the open, every write and
+    // the final flush (a full disk may fail only there).
+    std::ofstream out(path, std::ios::trunc);
+    write(out);
+    out.close();
+    if (!out) {
+      std::fprintf(stderr, "cannot write %s\n", path.c_str());
+      return false;
+    }
+    std::printf("%s: %s (%zu spans)\n", label, path.c_str(),
+                spans.records().size());
+    return true;
+  };
+  const bool chrome_ok =
+      export_to(chrome_path, "chrome trace", [&spans](std::ostream& out) {
+        out << ChromeTraceWriter::to_json(spans.records());
+      });
+  const bool jsonl_ok =
+      export_to(jsonl_path, "span jsonl",
+                [&spans](std::ostream& out) { spans.write_jsonl(out); });
+  if (spans.dropped() > 0) {
+    std::fprintf(stderr,
+                 "span export incomplete: %llu record(s) dropped at the "
+                 "%zu-record cap\n",
+                 static_cast<unsigned long long>(spans.dropped()),
+                 spans.records().size());
+    return false;
+  }
+  return chrome_ok && jsonl_ok;
+}
+
 }  // namespace carpool::obs

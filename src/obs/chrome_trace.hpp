@@ -47,4 +47,13 @@ class ChromeTraceWriter {
                     const std::vector<SpanRecord>& records);
 };
 
+/// Write `spans` as a Chrome trace-event file to `chrome_path` and as
+/// span JSONL to `jsonl_path`; an empty path skips that file. Each file
+/// written is named on stdout with its record count. Returns false, with
+/// the reason on stderr, when a file cannot be written fully or when the
+/// collector dropped records at its cap: the files then hold only the
+/// head of the run.
+bool export_spans(const SpanCollector& spans, const std::string& chrome_path,
+                  const std::string& jsonl_path);
+
 }  // namespace carpool::obs

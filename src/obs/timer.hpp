@@ -10,25 +10,13 @@
 // mutex-guarded map lookup, uncontended for shard-local registries — which
 // is cheap against the stages these timers wrap (Viterbi, FFT,
 // equalization), but do not wrap single-digit-nanosecond code.
-//
-// The CMake option CARPOOL_ENABLE_PROFILING (default ON) compiles the
-// hooks out entirely when OFF (it defines CARPOOL_PROFILING_ENABLED=0).
 
 #include <chrono>
 
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
 
-#ifndef CARPOOL_PROFILING_ENABLED
-#define CARPOOL_PROFILING_ENABLED 1
-#endif
-
 namespace carpool::obs {
-
-/// True when OBS_SCOPED_TIMER call sites are compiled into this binary.
-constexpr bool profiling_compiled_in() noexcept {
-  return CARPOOL_PROFILING_ENABLED != 0;
-}
 
 /// Records elapsed nanoseconds into `hist` on destruction.
 class ScopedTimer {
@@ -54,14 +42,10 @@ class ScopedTimer {
 #define OBS_CONCAT_INNER(a, b) a##b
 #define OBS_CONCAT(a, b) OBS_CONCAT_INNER(a, b)
 
-#if CARPOOL_PROFILING_ENABLED
 #define OBS_SCOPED_TIMER(name)                                           \
   const ::carpool::obs::ScopedTimer OBS_CONCAT(obs_scoped_timer_,        \
                                                __LINE__)(               \
       ::carpool::obs::Registry::current().latency_histogram(name))
-#else
-#define OBS_SCOPED_TIMER(name) static_cast<void>(0)
-#endif
 
 /// Scoped timer plus a leaf span: the stage's wall time lands in its
 /// latency histogram as before, and — when a SpanCollector is installed —

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "common/rng.hpp"
-#include "mac/domain_sim.hpp"
 #include "obs/registry.hpp"
 #include "par/par.hpp"
 #include "traffic/generators.hpp"
@@ -104,9 +103,8 @@ MultiBssResult MultiBssSim::run() {
       run.result.duration = run.stop - run.start;
       return run;
     }
-    mac::DomainSim domain(
-        domain_config(epoch, ap, run.start, run.stop, run.stas),
-        static_cast<std::uint32_t>(ap));
+    mac::Simulator domain(
+        domain_config(epoch, ap, run.start, run.stop, run.stas));
     for (std::size_t local = 1; local <= run.stas.size(); ++local) {
       domain.add_flow(traffic::make_cbr_flow(
           static_cast<mac::NodeId>(local), config_.frame_bytes,
@@ -142,15 +140,9 @@ MultiBssResult MultiBssSim::run() {
   reg.counter("sim.bss_epochs").add(epochs);
   reg.counter("sim.bss_domains").add(out.domains_simulated);
   reg.counter("sim.bss_domains_idle").add(out.domains_idle);
-  std::size_t cochannel_pairs = 0;
-  for (std::size_t a = 0; a < ap_count; ++a) {
-    for (std::size_t b = a + 1; b < ap_count; ++b) {
-      if (topo_.channel_of(a) == topo_.channel_of(b)) ++cochannel_pairs;
-    }
-  }
   reg.set_gauge("sim.bss_ap_count", static_cast<double>(ap_count));
   reg.set_gauge("sim.bss_cochannel_pairs",
-                static_cast<double>(cochannel_pairs));
+                static_cast<double>(topo_.cochannel_pairs()));
   return out;
 }
 

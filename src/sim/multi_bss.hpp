@@ -1,6 +1,6 @@
 #pragma once
 
-// Multi-BSS campaign driver: runs one mac::DomainSim per AP of a
+// Multi-BSS campaign driver: runs one mac::Simulator per AP of a
 // sim::Topology and shards whole BSSes across carpool::par.
 //
 // The campaign is segmented into *epochs* at roaming handover instants

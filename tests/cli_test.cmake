@@ -4,7 +4,8 @@
 #   cmake -DBIN=<path> "-DARGS=--frames|12x" -DEXPECT=2 -P cli_test.cmake
 # "|" keeps empty arguments intact ("--fuzz-rounds" followed by "") where
 # a ;-list would drop them. An exit-2 case is a usage error unless
-# -DSTDERR=<regex> names the runtime failure its stderr must report.
+# -DSTDERR=<regex> names the runtime failure its stderr must report;
+# -DSTDOUT=<regex> names what stdout must show (e.g. --help's usage).
 
 if(NOT DEFINED BIN OR NOT DEFINED EXPECT)
   message(FATAL_ERROR "cli_test.cmake needs -DBIN=... and -DEXPECT=...")
@@ -25,6 +26,11 @@ get_filename_component(name "${BIN}" NAME)
 if(NOT code EQUAL ${EXPECT})
   message(FATAL_ERROR
     "${name} ${ARGS}: exit ${code}, want ${EXPECT}\nstdout:\n${out}\nstderr:\n${err}")
+endif()
+
+if(DEFINED STDOUT AND NOT out MATCHES "${STDOUT}")
+  message(FATAL_ERROR
+    "${name} ${ARGS}: stdout does not match '${STDOUT}'\nstdout:\n${out}")
 endif()
 
 if(DEFINED STDERR)

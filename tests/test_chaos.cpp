@@ -9,7 +9,7 @@
 #include <string>
 
 #include "chaos/invariants.hpp"
-#include "chaos/json.hpp"
+#include "common/json.hpp"
 #include "chaos/runner.hpp"
 #include "chaos/scenario.hpp"
 #include "chaos/shrink.hpp"

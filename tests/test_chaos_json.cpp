@@ -1,4 +1,4 @@
-// chaos/json error-path coverage: the parser's contract is that it
+// common/json error-path coverage: the parser's contract is that it
 // NEVER throws and never crashes — every malformed input becomes a
 // structured JsonError with a 1-based line/column. These tests pin that
 // contract on the inputs most likely to slip through a hand-rolled
@@ -11,7 +11,7 @@
 
 #include <gtest/gtest.h>
 
-#include "chaos/json.hpp"
+#include "common/json.hpp"
 #include "chaos/scenario.hpp"
 
 namespace carpool::chaos {

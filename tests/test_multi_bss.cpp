@@ -59,6 +59,8 @@ TEST(Topology, ChannelReusePlanIsModulo) {
   for (std::size_t ap = 0; ap < spec.ap_count; ++ap) {
     EXPECT_EQ(topo.channel_of(ap), ap % 3u);
   }
+  // Channels {0,3,6}, {1,4}, {2,5}: 3 + 1 + 1 co-channel pairs.
+  EXPECT_EQ(topo.cochannel_pairs(), 5u);
 }
 
 TEST(Topology, HomeApRoundRobinsStaIds) {

@@ -263,12 +263,8 @@ TEST(Profiling, ScopedTimerFeedsGlobalRegistry) {
       obs::Registry::global().latency_histogram("obs_test.helper");
   const std::uint64_t before = h.count();
   for (int i = 0; i < 5; ++i) timed_helper();
-  if (obs::profiling_compiled_in()) {
-    EXPECT_EQ(h.count(), before + 5);
-    EXPECT_GE(h.min(), 0.0);
-  } else {
-    EXPECT_EQ(h.count(), before);
-  }
+  EXPECT_EQ(h.count(), before + 5);
+  EXPECT_GE(h.min(), 0.0);
 }
 
 }  // namespace

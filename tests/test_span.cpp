@@ -21,7 +21,7 @@
 
 #include "carpool/transceiver.hpp"
 #include "channel/fading.hpp"
-#include "chaos/json.hpp"
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "mac/simulator.hpp"
 #include "obs/chrome_trace.hpp"
@@ -354,11 +354,45 @@ TEST(SpanJsonl, FileRoundTripAndStreamFailure) {
   EXPECT_FALSE(broken);
 }
 
+/// The span export soak runs at exit: a collector that hit its record
+/// cap fails the export (the files hold only the head of the run), and
+/// says how many records it lost.
+TEST(SpanExport, RecordsDroppedAtCapFailTheExport) {
+  obs::Registry reg;
+  const obs::Registry::ScopedCurrent metric_scope(reg);
+  const std::string chrome = testing::TempDir() + "span_export.json";
+  const std::string jsonl = testing::TempDir() + "span_export.jsonl";
+
+  obs::SpanCollector whole;
+  whole.emit(sim_record(0, "a", 0.0, 1.0));
+  testing::internal::CaptureStdout();
+  EXPECT_TRUE(obs::export_spans(whole, chrome, jsonl));
+  EXPECT_NE(testing::internal::GetCapturedStdout().find("(1 spans)"),
+            std::string::npos);
+
+  obs::SpanCollector capped(/*max_records=*/2);
+  for (int i = 0; i < 5; ++i) {
+    capped.emit(sim_record(0, "r", static_cast<double>(i), 1.0));
+  }
+  ASSERT_EQ(capped.dropped(), 3u);
+  testing::internal::CaptureStdout();
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(obs::export_spans(capped, chrome, jsonl));
+  testing::internal::GetCapturedStdout();
+  EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                "3 record(s) dropped at the 2-record cap"),
+            std::string::npos);
+  std::ifstream in(jsonl);
+  std::stringstream text;
+  text << in.rdbuf();
+  EXPECT_EQ(split_lines(text.str()).size(), 2u);
+}
+
 /// Parse one JSONL line strictly; fails the test on malformed JSON.
-chaos::JsonValue parse_line(const std::string& line) {
-  auto parsed = chaos::json_parse(line);
+JsonValue parse_line(const std::string& line) {
+  auto parsed = json_parse(line);
   EXPECT_TRUE(parsed.ok()) << line << ": " << parsed.error.to_string();
-  return parsed.ok() ? std::move(*parsed.value) : chaos::JsonValue();
+  return parsed.ok() ? std::move(*parsed.value) : JsonValue();
 }
 
 TEST(SpanInstant, ParentsToInnermostOpenSpan) {
@@ -425,8 +459,8 @@ TEST(SpanInstant, JsonlArgsAreStrictJson) {
   collector.write_jsonl(out);
   const auto lines = split_lines(out.str());
   ASSERT_EQ(lines.size(), 1u);
-  const chaos::JsonValue line = parse_line(lines[0]);
-  const chaos::JsonValue* args = line.find("args");
+  const JsonValue line = parse_line(lines[0]);
+  const JsonValue* args = line.find("args");
   ASSERT_NE(args, nullptr);
   ASSERT_TRUE(args->is_object());
   EXPECT_EQ(args->find("count")->as_number(), 3.0);
@@ -461,13 +495,13 @@ TEST(SpanInstant, ArgsSurviveJsonlToChrome) {
   std::ifstream in(chrome);
   std::stringstream text;
   text << in.rdbuf();
-  const chaos::JsonValue doc = parse_line(text.str());
-  const chaos::JsonValue* events = doc.find("traceEvents");
+  const JsonValue doc = parse_line(text.str());
+  const JsonValue* events = doc.find("traceEvents");
   ASSERT_NE(events, nullptr);
-  std::map<std::string, const chaos::JsonValue*> args_of;
-  for (const chaos::JsonValue& ev : events->as_array()) {
-    const chaos::JsonValue* name = ev.find("name");
-    const chaos::JsonValue* args = ev.find("args");
+  std::map<std::string, const JsonValue*> args_of;
+  for (const JsonValue& ev : events->as_array()) {
+    const JsonValue* name = ev.find("name");
+    const JsonValue* args = ev.find("args");
     if (name != nullptr && args != nullptr && ev.find("dur") != nullptr) {
       args_of[name->as_string()] = args;
     }

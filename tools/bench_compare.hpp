@@ -5,7 +5,8 @@
 // on what a metric is, which metrics gate, and how a tolerance is
 // derived, so the logic lives here once:
 //
-//   - flatten a metrics export to "counters.x" / "histograms.z.mean" keys
+//   - flatten a metrics export, read with the strict JSON reader
+//     (common/json.hpp), to "counters.x" / "histograms.z.mean" keys
 //     (numeric leaves only; the schema_version-2 `meta` strings and
 //     bucket arrays are parsed and discarded),
 //   - aggregate baseline runs (run*/ subdirectories or one flat dir)
@@ -16,11 +17,7 @@
 //     informational.
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -29,151 +26,46 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
+
 namespace carpool::benchcmp {
 
 namespace fs = std::filesystem;
 
-/// Strict parse of a --threshold / --sigma value: the whole text must be
-/// a finite, non-negative number. Garbage ("abc"), a trailing suffix
-/// ("3x"), a negative value, inf/nan and an empty or missing value all
-/// yield nullopt, which the tools turn into usage + exit 2.
-inline std::optional<double> parse_non_negative(const char* text) {
-  if (text == nullptr || *text == '\0' ||
-      std::isspace(static_cast<unsigned char>(*text))) {
-    return std::nullopt;
+/// Numeric leaves of a parsed export under dotted keys; strings, bools,
+/// nulls and arrays (histogram buckets) are not diffed.
+inline void flatten(const JsonValue& value, const std::string& prefix,
+                    std::map<std::string, double>& out) {
+  if (value.is_object()) {
+    for (const auto& [key, child] : value.as_object()) {
+      flatten(child, prefix.empty() ? key : prefix + "." + key, out);
+    }
+  } else if (value.is_number()) {
+    out[prefix] = value.as_number();
   }
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (end == text || *end != '\0' || errno == ERANGE || !std::isfinite(v) ||
-      !(v >= 0.0)) {
-    return std::nullopt;
-  }
-  return v;
 }
 
-// ------------------------------------------------------------------ JSON
-// Minimal recursive-descent parser for the flat metrics schema. Values we
-// care about are numbers; everything else (strings, bools, null) is parsed
-// and discarded.
-
-struct JsonParser {
-  const std::string& text;
-  std::size_t pos = 0;
-  bool failed = false;
-
-  explicit JsonParser(const std::string& t) : text(t) {}
-
-  void skip_ws() {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos]))) {
-      ++pos;
-    }
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (pos < text.size() && text[pos] == c) {
-      ++pos;
-      return true;
-    }
-    return false;
-  }
-
-  char peek() {
-    skip_ws();
-    return pos < text.size() ? text[pos] : '\0';
-  }
-
-  std::optional<std::string> parse_string() {
-    if (!consume('"')) return std::nullopt;
-    std::string out;
-    while (pos < text.size() && text[pos] != '"') {
-      if (text[pos] == '\\' && pos + 1 < text.size()) ++pos;
-      out.push_back(text[pos++]);
-    }
-    if (pos >= text.size()) {
-      failed = true;
-      return std::nullopt;
-    }
-    ++pos;  // closing quote
-    return out;
-  }
-
-  std::optional<double> parse_number() {
-    skip_ws();
-    const std::size_t start = pos;
-    while (pos < text.size() &&
-           (std::isdigit(static_cast<unsigned char>(text[pos])) ||
-            std::strchr("+-.eE", text[pos]) != nullptr)) {
-      ++pos;
-    }
-    if (pos == start) return std::nullopt;
-    try {
-      return std::stod(text.substr(start, pos - start));
-    } catch (...) {
-      failed = true;
-      return std::nullopt;
-    }
-  }
-
-  /// Parse any value; numeric leaves land in `out` under `prefix`.
-  void parse_value(const std::string& prefix,
-                   std::map<std::string, double>& out) {
-    const char c = peek();
-    if (c == '{') {
-      consume('{');
-      if (consume('}')) return;
-      do {
-        const auto key = parse_string();
-        if (!key || !consume(':')) {
-          failed = true;
-          return;
-        }
-        parse_value(prefix.empty() ? *key : prefix + "." + *key, out);
-        if (failed) return;
-      } while (consume(','));
-      if (!consume('}')) failed = true;
-    } else if (c == '[') {
-      consume('[');
-      if (consume(']')) return;
-      std::map<std::string, double> discard;  // bucket arrays: not diffed
-      do {
-        parse_value(prefix, discard);
-        if (failed) return;
-      } while (consume(','));
-      if (!consume(']')) failed = true;
-    } else if (c == '"') {
-      if (!parse_string()) failed = true;
-    } else if (c == 't' || c == 'f' || c == 'n') {
-      while (pos < text.size() &&
-             std::isalpha(static_cast<unsigned char>(text[pos]))) {
-        ++pos;
-      }
-    } else {
-      const auto num = parse_number();
-      if (!num) {
-        failed = true;
-        return;
-      }
-      out[prefix] = *num;
-    }
-  }
-};
-
 /// Flatten one metrics file: "counters.x", "gauges.y",
-/// "histograms.z.mean", ... -> value.
+/// "histograms.z.mean", ... -> value. A file that cannot be read or is
+/// not strict JSON yields nullopt and `error` ("path:line:col: why").
 inline std::optional<std::map<std::string, double>> load_metrics(
-    const fs::path& path) {
+    const fs::path& path, std::string& error) {
   std::ifstream in(path);
-  if (!in) return std::nullopt;
+  if (!in) {
+    error = path.string() + ": cannot read";
+    return std::nullopt;
+  }
   std::stringstream buffer;
   buffer << in.rdbuf();
-  const std::string text = buffer.str();
-  JsonParser parser(text);
+  const JsonParseResult parsed = json_parse(buffer.str());
+  if (!parsed.ok()) {
+    error = path.string() + ":" + std::to_string(parsed.error.line) + ":" +
+            std::to_string(parsed.error.column) + ": " +
+            parsed.error.message;
+    return std::nullopt;
+  }
   std::map<std::string, double> flat;
-  parser.parse_value("", flat);
-  if (parser.failed) return std::nullopt;
+  flatten(*parsed.value, "", flat);
   flat.erase("schema_version");
   return flat;
 }
@@ -211,15 +103,21 @@ struct BaselineStat {
 };
 
 /// Aggregate one BENCH file's metrics over every baseline run directory
-/// that has it. Missing-from-some-runs metrics keep the runs they have.
+/// that has it. Missing-from-some-runs metrics keep the runs they have; a
+/// run whose copy cannot be read is left out and named in `errors`.
 inline std::map<std::string, BaselineStat> aggregate_baseline(
-    const std::vector<fs::path>& run_dirs, const std::string& file_name) {
+    const std::vector<fs::path>& run_dirs, const std::string& file_name,
+    std::vector<std::string>& errors) {
   std::map<std::string, std::vector<double>> samples;
   for (const fs::path& dir : run_dirs) {
     const fs::path path = dir / file_name;
     if (!fs::exists(path)) continue;
-    const auto metrics = load_metrics(path);
-    if (!metrics) continue;
+    std::string error;
+    const auto metrics = load_metrics(path, error);
+    if (!metrics) {
+      errors.push_back(error);
+      continue;
+    }
     for (const auto& [metric, value] : *metrics) {
       samples[metric].push_back(value);
     }

@@ -1,8 +1,7 @@
 // bench_diff — compare BENCH_*.json metric exports (schema_version 2,
 // written by bench::write_metrics / obs::Registry) against a baseline.
 //
-//   bench_diff <baseline_dir> <current_dir> [--threshold <pct>]
-//                                           [--sigma <k>]
+//   bench_diff BASELINE_DIR CURRENT_DIR [--threshold PCT] [--sigma K]
 //
 // The baseline directory holds either flat BENCH_*.json files (one
 // reference run) or run*/ subdirectories each holding BENCH_*.json (a
@@ -31,16 +30,20 @@
 //
 // The flattening/aggregation/tolerance machinery is shared with
 // bench_report (the trend dashboard) via bench_compare.hpp.
+//
+// Exit codes: 0 = no gated regression, 1 = gated regression, 2 = usage
+// error, a BENCH file (baseline run or current) that exists but cannot
+// be read as strict JSON, or nothing to compare.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench_compare.hpp"
+#include "common/cli.hpp"
 
 namespace {
 
@@ -58,47 +61,22 @@ struct Regression {
 
 }  // namespace
 
-constexpr const char* kUsage =
-    "usage: bench_diff <baseline_dir> <current_dir> "
-    "[--threshold <pct>] [--sigma <k>]\n";
-
 int main(int argc, char** argv) {
-  std::vector<std::string> positional;
+  std::string baseline_arg;
+  std::string current_arg;
   double threshold_pct = 10.0;
   double sigma = 3.0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--threshold" || arg == "--sigma") {
-      const char* text = i + 1 < argc ? argv[++i] : nullptr;
-      const std::optional<double> value = parse_non_negative(text);
-      if (!value) {
-        std::fprintf(stderr,
-                     "bench_diff: %s wants a non-negative number, got "
-                     "\"%s\"\n%s",
-                     arg.c_str(), text == nullptr ? "" : text, kUsage);
-        return 2;
-      }
-      if (arg == "--threshold") {
-        threshold_pct = *value;
-      } else {
-        sigma = *value;
-      }
-    } else if (arg == "-h" || arg == "--help") {
-      std::printf("%s", kUsage);
-      return 0;
-    } else {
-      positional.push_back(arg);
-    }
-  }
-  if (positional.size() != 2) {
-    std::fprintf(stderr, "%s", kUsage);
-    return 2;
-  }
-  const fs::path baseline_dir = positional[0];
-  const fs::path current_dir = positional[1];
+  carpool::cli::Parser parser({
+      carpool::cli::positional("BASELINE_DIR", baseline_arg),
+      carpool::cli::positional("CURRENT_DIR", current_arg),
+      carpool::cli::number_flag("--threshold", "PCT", threshold_pct),
+      carpool::cli::number_flag("--sigma", "K", sigma),
+  });
+  parser.parse(argc, argv);
+  const fs::path baseline_dir = baseline_arg;
+  const fs::path current_dir = current_arg;
   if (!fs::is_directory(baseline_dir) || !fs::is_directory(current_dir)) {
-    std::fprintf(stderr, "bench_diff: both arguments must be directories\n");
-    return 2;
+    parser.usage_error("both arguments must be directories");
   }
 
   const std::vector<fs::path> run_dirs = discover_run_dirs(baseline_dir);
@@ -113,6 +91,7 @@ int main(int argc, char** argv) {
 
   std::vector<Regression> regressions;
   std::size_t compared_files = 0;
+  std::size_t unreadable_files = 0;
   for (const std::string& name : files) {
     const fs::path cur_path = current_dir / name;
     if (!fs::exists(cur_path)) {
@@ -120,10 +99,16 @@ int main(int argc, char** argv) {
                   current_dir.string().c_str());
       continue;
     }
-    const auto base = aggregate_baseline(run_dirs, name);
-    const auto cur = load_metrics(cur_path);
-    if (base.empty() || !cur) {
-      std::fprintf(stderr, "%s: parse failure (skipped)\n", name.c_str());
+    std::vector<std::string> errors;
+    const auto base = aggregate_baseline(run_dirs, name, errors);
+    std::string cur_error;
+    const auto cur = load_metrics(cur_path, cur_error);
+    if (!cur) errors.push_back(cur_error);
+    if (!errors.empty()) {
+      for (const std::string& error : errors) {
+        std::fprintf(stderr, "bench_diff: %s\n", error.c_str());
+      }
+      ++unreadable_files;
       continue;
     }
     ++compared_files;
@@ -170,6 +155,13 @@ int main(int argc, char** argv) {
     }
   }
 
+  // An export that exists but does not parse is a broken gate, not a
+  // skipped file: the metrics it holds were never compared.
+  if (unreadable_files > 0) {
+    std::fprintf(stderr, "bench_diff: %zu BENCH file(s) could not be read\n",
+                 unreadable_files);
+    return 2;
+  }
   if (compared_files == 0) {
     std::fprintf(stderr, "bench_diff: nothing compared\n");
     return 2;

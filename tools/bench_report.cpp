@@ -1,7 +1,7 @@
 // bench_report — bench trend dashboard over committed baseline runs.
 //
-//   bench_report <baseline_dir> [--current <dir>] [--out <report.html>]
-//                [--md <summary.md>] [--threshold <pct>] [--sigma <k>]
+//   bench_report BASELINE_DIR [--current DIR] [--out HTML] [--md MD]
+//                [--threshold PCT] [--sigma K]
 //
 // Ingests a directory of BENCH_*.json exports laid out like the
 // bench_diff baseline (run*/ subdirectories, e.g. bench/baselines/run1..
@@ -13,6 +13,9 @@
 // logic is shared via bench_compare.hpp, so dashboard and gate can never
 // disagree). --md writes a compact markdown summary of the gated
 // metrics, suitable for a CI job summary.
+//
+// A BENCH file that exists but cannot be read as strict JSON is named on
+// stderr with its line and column and left out of the report.
 //
 // Exit codes: 0 = report written (regressions are *reported*, not
 // failed — bench_diff is the blocking gate), 2 = usage or I/O error.
@@ -29,6 +32,7 @@
 #include <vector>
 
 #include "bench_compare.hpp"
+#include "common/cli.hpp"
 
 namespace {
 
@@ -139,16 +143,24 @@ std::vector<FileReport> build_reports(const std::vector<fs::path>& run_dirs,
                                       double sigma) {
   std::vector<FileReport> reports;
   for (const std::string& name : files) {
-    const auto base = aggregate_baseline(run_dirs, name);
-    if (base.empty()) {
-      std::fprintf(stderr, "bench_report: %s: baseline parse failure "
-                   "(skipped)\n", name.c_str());
-      continue;
-    }
+    std::vector<std::string> errors;
+    const auto base = aggregate_baseline(run_dirs, name, errors);
     std::optional<std::map<std::string, double>> cur;
     if (have_current) {
       const fs::path cur_path = current_dir / name;
-      if (fs::exists(cur_path)) cur = load_metrics(cur_path);
+      std::string error;
+      if (fs::exists(cur_path)) cur = load_metrics(cur_path, error);
+      if (!error.empty()) errors.push_back(error);
+    }
+    for (const std::string& error : errors) {
+      std::fprintf(stderr, "bench_report: %s\n", error.c_str());
+    }
+    if (base.empty()) {
+      if (errors.empty()) {
+        std::fprintf(stderr, "bench_report: %s: no baseline run (skipped)\n",
+                     name.c_str());
+      }
+      continue;
     }
     FileReport report;
     report.name = name;
@@ -323,12 +335,6 @@ bool write_markdown(const std::string& path,
 
 }  // namespace
 
-constexpr const char* kUsage =
-    "usage: bench_report <baseline_dir> [--current <dir>] "
-    "[--out <report.html>]\n"
-    "                    [--md <summary.md>] [--threshold <pct>] "
-    "[--sigma <k>]\n";
-
 int main(int argc, char** argv) {
   std::string baseline_arg;
   std::string current_arg;
@@ -336,59 +342,21 @@ int main(int argc, char** argv) {
   std::string md_path;
   double threshold_pct = 10.0;
   double sigma = 3.0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "bench_report: %s needs a value\n%s",
-                     arg.c_str(), kUsage);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--current") {
-      current_arg = next();
-    } else if (arg == "--out") {
-      out_path = next();
-    } else if (arg == "--md") {
-      md_path = next();
-    } else if (arg == "--threshold" || arg == "--sigma") {
-      const char* text = next();
-      const std::optional<double> value = parse_non_negative(text);
-      if (!value) {
-        std::fprintf(stderr,
-                     "bench_report: %s wants a non-negative number, got "
-                     "\"%s\"\n%s",
-                     arg.c_str(), text, kUsage);
-        return 2;
-      }
-      if (arg == "--threshold") {
-        threshold_pct = *value;
-      } else {
-        sigma = *value;
-      }
-    } else if (arg == "-h" || arg == "--help") {
-      std::printf("%s", kUsage);
-      return 0;
-    } else if (baseline_arg.empty()) {
-      baseline_arg = arg;
-    } else {
-      std::fprintf(stderr, "bench_report: unexpected argument %s\n",
-                   arg.c_str());
-      return 2;
-    }
-  }
-  if (baseline_arg.empty() || !fs::is_directory(baseline_arg)) {
-    std::fprintf(stderr,
-                 "bench_report: baseline directory required (got '%s')\n",
-                 baseline_arg.c_str());
-    return 2;
+  carpool::cli::Parser parser({
+      carpool::cli::positional("BASELINE_DIR", baseline_arg),
+      carpool::cli::string_flag("--current", "DIR", current_arg),
+      carpool::cli::string_flag("--out", "HTML", out_path),
+      carpool::cli::string_flag("--md", "MD", md_path),
+      carpool::cli::number_flag("--threshold", "PCT", threshold_pct),
+      carpool::cli::number_flag("--sigma", "K", sigma),
+  });
+  parser.parse(argc, argv);
+  if (!fs::is_directory(baseline_arg)) {
+    parser.usage_error(baseline_arg + " is not a directory");
   }
   const bool have_current = !current_arg.empty();
   if (have_current && !fs::is_directory(current_arg)) {
-    std::fprintf(stderr, "bench_report: --current %s is not a directory\n",
-                 current_arg.c_str());
-    return 2;
+    parser.usage_error("--current " + current_arg + " is not a directory");
   }
 
   const std::vector<fs::path> run_dirs = discover_run_dirs(baseline_arg);

@@ -1,6 +1,6 @@
 // metric_lint — fail the build when a metric name lacks catalog metadata.
 //
-//   metric_lint [repo_root]          # default: current directory
+//   metric_lint [REPO_ROOT]          # default: current directory
 //
 // Scans *.cpp / *.hpp under src/, bench/, tools/ and examples/ (tests
 // are exempt: they mint throwaway names) for string-literal metric
@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "obs/metrics_meta.hpp"
 
 namespace {
@@ -50,11 +51,11 @@ bool is_source_file(const fs::path& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc > 2) {
-    std::fprintf(stderr, "usage: metric_lint [repo_root]\n");
-    return 2;
-  }
-  const fs::path root = argc == 2 ? fs::path(argv[1]) : fs::path(".");
+  std::string root_arg = ".";
+  carpool::cli::parse_flags(
+      argc, argv,
+      {carpool::cli::positional("REPO_ROOT", root_arg, /*required=*/false)});
+  const fs::path root = root_arg;
   if (!fs::is_directory(root)) {
     std::fprintf(stderr, "metric_lint: %s is not a directory\n",
                  root.string().c_str());

@@ -49,18 +49,21 @@
 // and continues — the resumed run's metrics fingerprint (and the fuzz
 // corpus digest) are bit-identical to an uninterrupted campaign.
 //
+// Flags follow the shared CLI contract (common/cli.hpp): -h/--help prints
+// usage and exits 0; an unknown flag or a malformed value ("--frames
+// 12x", "--threads -3") is a usage error.
+//
 // Exit codes: 0 = campaign clean, 1 = invariant violation (bundle
 // written when --bundle-dir is set), 2 = usage or scenario-file error,
-// 3 = clean but degraded (some repeats quarantined after retries).
+// or a span export that is incomplete (unwritable file, or records
+// dropped at the collector cap), 3 = clean but degraded (some repeats
+// quarantined after retries).
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <filesystem>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -72,6 +75,7 @@
 #include "chaos/scenario.hpp"
 #include "chaos/shrink.hpp"
 #include "chaos/snr_trace.hpp"
+#include "common/cli.hpp"
 #include "dsp/kernels.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/registry.hpp"
@@ -82,122 +86,6 @@ namespace {
 
 using namespace carpool;
 using namespace carpool::chaos;
-
-void usage() {
-  std::fprintf(stderr,
-               "usage: soak [--scenario FILE]... [--frames N] "
-               "[--bundle-dir DIR] [--shrink]\n"
-               "            [--replay BUNDLE] [--metrics FILE] [--list] "
-               "[--threads N]\n"
-               "            [--chrome-trace FILE] [--span-jsonl FILE]\n"
-               "            [--validate] [--trace FILE]\n"
-               "            [--fuzz] [--fuzz-rounds N] [--fuzz-batch N] "
-               "[--fuzz-frames N]\n"
-               "            [--fuzz-seed N] [--fuzz-inject] "
-               "[--corpus-dir DIR]\n"
-               "            [--retry-attempts N] [--shard-watchdog SECONDS]\n"
-               "            [--checkpoint-dir DIR] [--checkpoint-every N] "
-               "[--resume]\n"
-               "            [--kernel auto|scalar|simd|sse2|avx2|avx512] "
-               "[--kernel-info]\n");
-}
-
-/// Strict --kernel parser (the resolve_threads flag-hardening rule for
-/// CLI input): an unknown name or a tier this CPU cannot run is a usage
-/// error, never a silent fallback.
-void apply_kernel_flag(const char* text) {
-  switch (carpool::dsp::select_kernel(text == nullptr ? "" : text)) {
-    case carpool::dsp::KernelSelect::kOk:
-      return;
-    case carpool::dsp::KernelSelect::kUnavailable:
-      std::fprintf(stderr,
-                   "soak: --kernel %s is not supported on this CPU (%s)\n",
-                   text, carpool::dsp::kernel_info().c_str());
-      usage();
-      std::exit(2);
-    case carpool::dsp::KernelSelect::kUnknown:
-      break;
-  }
-  std::fprintf(stderr,
-               "soak: --kernel wants auto|scalar|simd|sse2|avx2|avx512, "
-               "got \"%s\"\n",
-               text == nullptr ? "" : text);
-  usage();
-  std::exit(2);
-}
-
-/// Strict non-negative integer flag parser: the whole value must be a
-/// base-10 unsigned integer ("--frames 12x", "--threads -3", and
-/// "--fuzz-seed" followed by nothing are all usage errors, not silent
-/// garbage). Exits 2 on any malformed value.
-std::uint64_t parse_u64(const char* flag, const char* text) {
-  if (text == nullptr || *text == '\0' || *text == '-' || *text == '+') {
-    std::fprintf(stderr, "soak: %s wants a non-negative integer, got \"%s\"\n",
-                 flag, text == nullptr ? "" : text);
-    usage();
-    std::exit(2);
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE) {
-    std::fprintf(stderr, "soak: %s wants a non-negative integer, got \"%s\"\n",
-                 flag, text);
-    usage();
-    std::exit(2);
-  }
-  return static_cast<std::uint64_t>(v);
-}
-
-/// Strict non-negative seconds parser for --shard-watchdog.
-double parse_seconds(const char* flag, const char* text) {
-  if (text == nullptr || *text == '\0') {
-    std::fprintf(stderr, "soak: %s wants non-negative seconds\n", flag);
-    usage();
-    std::exit(2);
-  }
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (end == text || *end != '\0' || errno == ERANGE || !(v >= 0.0)) {
-    std::fprintf(stderr, "soak: %s wants non-negative seconds, got \"%s\"\n",
-                 flag, text);
-    usage();
-    std::exit(2);
-  }
-  return v;
-}
-
-/// Export collected frame-lifecycle spans to the requested files.
-/// Returns true on success (or nothing requested).
-bool export_spans(const carpool::obs::SpanCollector& spans,
-                  const std::string& chrome_path,
-                  const std::string& jsonl_path) {
-  const auto export_to = [&spans](const std::string& path, const char* label,
-                                  const auto& write) {
-    if (path.empty()) return true;
-    // The stream's state after close() covers the open, every write and
-    // the final flush (a full disk may fail only there).
-    std::ofstream out(path, std::ios::trunc);
-    write(out);
-    out.close();
-    if (!out) {
-      std::fprintf(stderr, "soak: cannot write %s\n", path.c_str());
-      return false;
-    }
-    std::printf("%s: %s (%zu spans)\n", label, path.c_str(),
-                spans.records().size());
-    return true;
-  };
-  const bool chrome_ok =
-      export_to(chrome_path, "chrome trace", [&spans](std::ostream& out) {
-        out << carpool::obs::ChromeTraceWriter::to_json(spans.records());
-      });
-  const bool jsonl_ok = export_to(
-      jsonl_path, "span jsonl",
-      [&spans](std::ostream& out) { spans.write_jsonl(out); });
-  return chrome_ok && jsonl_ok;
-}
 
 bool read_file(const std::string& path, std::string& out) {
   std::ifstream in(path, std::ios::binary);
@@ -395,96 +283,48 @@ int main(int argc, char** argv) {
   std::string trace_path;
   std::string corpus_dir;
   FuzzOptions fuzz_opts;
+  bool kernel_info = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        usage();
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--scenario") {
-      scenario_files.push_back(next());
-    } else if (arg == "--frames") {
-      opts.max_frames = parse_u64("--frames", next());
-    } else if (arg == "--bundle-dir") {
-      opts.bundle_dir = next();
-    } else if (arg == "--shrink") {
-      do_shrink = true;
-    } else if (arg == "--replay") {
-      replay_path = next();
-    } else if (arg == "--metrics") {
-      metrics_path = next();
-    } else if (arg == "--threads") {
-      opts.threads = carpool::par::resolve_threads(
-          static_cast<long long>(parse_u64("--threads", next())));
-    } else if (arg == "--chrome-trace") {
-      chrome_trace_path = next();
-    } else if (arg == "--span-jsonl") {
-      span_jsonl_path = next();
-    } else if (arg == "--list") {
-      list_only = true;
-    } else if (arg == "--validate") {
-      validate_only = true;
-    } else if (arg == "--trace") {
-      trace_path = next();
-    } else if (arg == "--fuzz") {
-      do_fuzz = true;
-    } else if (arg == "--fuzz-rounds") {
-      fuzz_opts.rounds = parse_u64("--fuzz-rounds", next());
-    } else if (arg == "--fuzz-batch") {
-      fuzz_opts.batch = parse_u64("--fuzz-batch", next());
-    } else if (arg == "--fuzz-frames") {
-      fuzz_opts.eval_frames = parse_u64("--fuzz-frames", next());
-    } else if (arg == "--fuzz-seed") {
-      fuzz_opts.seed = parse_u64("--fuzz-seed", next());
-    } else if (arg == "--fuzz-inject") {
-      fuzz_opts.allow_inject = true;
-    } else if (arg == "--corpus-dir") {
-      corpus_dir = next();
-    } else if (arg == "--retry-attempts") {
-      const std::uint64_t n = parse_u64("--retry-attempts", next());
-      if (n == 0) {
-        std::fprintf(stderr, "soak: --retry-attempts wants >= 1\n");
-        usage();
-        return 2;
-      }
-      opts.retry.max_attempts = static_cast<std::size_t>(n);
-    } else if (arg == "--shard-watchdog") {
-      opts.retry.watchdog_seconds = parse_seconds("--shard-watchdog", next());
-    } else if (arg == "--checkpoint-dir") {
-      opts.checkpoint_dir = next();
-    } else if (arg == "--checkpoint-every") {
-      const std::uint64_t n = parse_u64("--checkpoint-every", next());
-      if (n == 0) {
-        std::fprintf(stderr, "soak: --checkpoint-every wants >= 1\n");
-        usage();
-        return 2;
-      }
-      opts.checkpoint_every = static_cast<std::size_t>(n);
-    } else if (arg == "--resume") {
-      opts.resume = true;
-    } else if (arg == "--kernel") {
-      apply_kernel_flag(next());
-    } else if (arg == "--kernel-info") {
-      std::printf("%s\n", carpool::dsp::kernel_info().c_str());
-      return 0;
-    } else if (arg == "--help" || arg == "-h") {
-      usage();
-      return 0;
-    } else {
-      std::fprintf(stderr, "soak: unknown argument %s\n", arg.c_str());
-      usage();
-      return 2;
-    }
+  using namespace carpool::cli;
+  Parser parser({
+      {"--scenario", "FILE",
+       [&scenario_files](const char* text) {
+         scenario_files.emplace_back(text);
+         return true;
+       }},
+      uint_flag("--frames", opts.max_frames),
+      string_flag("--bundle-dir", "DIR", opts.bundle_dir),
+      switch_flag("--shrink", do_shrink),
+      string_flag("--replay", "BUNDLE", replay_path),
+      string_flag("--metrics", "FILE", metrics_path),
+      switch_flag("--list", list_only),
+      threads_flag(opts.threads),
+      string_flag("--chrome-trace", "FILE", chrome_trace_path),
+      string_flag("--span-jsonl", "FILE", span_jsonl_path),
+      switch_flag("--validate", validate_only),
+      string_flag("--trace", "FILE", trace_path),
+      switch_flag("--fuzz", do_fuzz),
+      uint_flag("--fuzz-rounds", fuzz_opts.rounds),
+      uint_flag("--fuzz-batch", fuzz_opts.batch),
+      uint_flag("--fuzz-frames", fuzz_opts.eval_frames),
+      uint_flag("--fuzz-seed", fuzz_opts.seed),
+      switch_flag("--fuzz-inject", fuzz_opts.allow_inject),
+      string_flag("--corpus-dir", "DIR", corpus_dir),
+      uint_flag("--retry-attempts", opts.retry.max_attempts, 1),
+      number_flag("--shard-watchdog", "SECONDS", opts.retry.watchdog_seconds),
+      string_flag("--checkpoint-dir", "DIR", opts.checkpoint_dir),
+      uint_flag("--checkpoint-every", opts.checkpoint_every, 1),
+      switch_flag("--resume", opts.resume),
+      kernel_flag(),
+      switch_flag("--kernel-info", kernel_info),
+  });
+  parser.parse(argc, argv);
+  if (kernel_info) {
+    std::printf("%s\n", carpool::dsp::kernel_info().c_str());
+    return 0;
   }
-
   if (opts.resume && opts.checkpoint_dir.empty()) {
-    std::fprintf(stderr, "soak: --resume needs --checkpoint-dir\n");
-    usage();
-    return 2;
+    parser.usage_error("--resume needs --checkpoint-dir");
   }
 
   // Span collection covers replay and campaign alike; the collector is
@@ -499,8 +339,8 @@ int main(int argc, char** argv) {
 
   if (!replay_path.empty()) {
     const int code = replay_mode(replay_path);
-    if (want_spans &&
-        !export_spans(span_collector, chrome_trace_path, span_jsonl_path)) {
+    if (want_spans && !obs::export_spans(span_collector, chrome_trace_path,
+                                         span_jsonl_path)) {
       return 2;
     }
     return code;
@@ -565,12 +405,8 @@ int main(int argc, char** argv) {
   // would overwrite per-scenario files mid-flight and make --resume
   // ambiguous about which campaign to continue.
   if (!opts.checkpoint_dir.empty() && scenarios.size() != 1) {
-    std::fprintf(stderr,
-                 "soak: --checkpoint-dir needs exactly one --scenario "
-                 "(got %zu)\n",
-                 scenarios.size());
-    usage();
-    return 2;
+    parser.usage_error("--checkpoint-dir needs exactly one --scenario (got " +
+                       std::to_string(scenarios.size()) + ")");
   }
 
   // With a campaign budget, split it evenly across the scenario set so
@@ -639,8 +475,8 @@ int main(int argc, char** argv) {
   if (!metrics_path.empty()) {
     obs::Registry::global().write_json(metrics_path, "soak");
   }
-  if (want_spans &&
-      !export_spans(span_collector, chrome_trace_path, span_jsonl_path)) {
+  if (want_spans && !obs::export_spans(span_collector, chrome_trace_path,
+                                       span_jsonl_path)) {
     return exit_code == 0 ? 2 : exit_code;
   }
   // Clean but degraded: some repeats were quarantined after exhausting

@@ -1,6 +1,6 @@
 // trace_convert — span JSONL -> Chrome trace-event JSON.
 //
-//   trace_convert <spans.jsonl> <out.json>
+//   trace_convert SPANS_JSONL OUT_JSON
 //
 // Reads the `"type":"span"` JSONL stream written by
 // obs::SpanCollector::write_jsonl (e.g. soak --span-jsonl) — spans and
@@ -24,15 +24,16 @@
 #include <utility>
 #include <vector>
 
-#include "chaos/json.hpp"
+#include "common/cli.hpp"
+#include "common/json.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/span.hpp"
 
 namespace {
 
-using carpool::chaos::JsonValue;
-using carpool::chaos::json_parse;
-using carpool::chaos::json_to_u64;
+using carpool::JsonValue;
+using carpool::json_parse;
+using carpool::json_to_u64;
 using carpool::obs::SpanRecord;
 
 constexpr double kMaxExact = 9007199254740992.0;  // 2^53
@@ -143,12 +144,11 @@ bool parse_span_line(const std::string& line, std::size_t line_no,
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc != 3) {
-    std::fprintf(stderr, "usage: trace_convert <spans.jsonl> <out.json>\n");
-    return 2;
-  }
-  const std::string in_path = argv[1];
-  const std::string out_path = argv[2];
+  std::string in_path;
+  std::string out_path;
+  carpool::cli::parse_flags(argc, argv,
+                            {carpool::cli::positional("SPANS_JSONL", in_path),
+                             carpool::cli::positional("OUT_JSON", out_path)});
   std::ifstream in(in_path);
   if (!in) {
     std::fprintf(stderr, "trace_convert: cannot read %s\n", in_path.c_str());
